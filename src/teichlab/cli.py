@@ -1,7 +1,8 @@
 """Command-line front end: one subcommand per experiment.
 
 Exit codes: 0 all properties hold, 1 a property failed (counterexample
-rows are printed), 2 usage or configuration error.  All floats are
+rows are printed), 2 usage or configuration error, 3 an arithmetic error
+(overflow, division by zero) stopped the computation.  All floats are
 printed with 17 significant digits; randomized experiments require an
 explicit seed and are reproducible from it.
 """
@@ -22,7 +23,7 @@ from . import pants
 from . import surface as surface_mod
 from . import thurston
 
-PASS, FAIL, USAGE = 0, 1, 2
+PASS, FAIL, USAGE, ARITHMETIC = 0, 1, 2, 3
 
 
 def _fmt(v):
@@ -69,6 +70,11 @@ def _build(lengths, twists=None):
     dec = surface_mod.builtin_genus2_convenient()
     coords = surface_mod.FNCoordinates(lengths, twists)
     return surface_mod.build_holonomy(dec, coords)
+
+
+def _family(args):
+    return [c.word for c in
+            curves.enumerate_conj_classes(2, args.max_word_len)]
 
 
 def _load_json(path):
@@ -141,7 +147,7 @@ def cmd_rotation(args, rep):
 
 def cmd_nonrot(args, rep):
     marked = _build(args.lengths, args.twists)
-    reference = _build([0.7, 0.8, 0.9])
+    reference = surface_mod.reference_surface(marked.decomposition)
     seq = combinat.intersection_sequence(reference, args.word, args.depth)
     data = combinat.classify_and_rotate(seq)
     proj, rest = combinat.non_rotating_length(marked, args.word, data)
@@ -157,9 +163,11 @@ def cmd_distortion(args, rep):
     x = _build(args.x_lengths)
     y = _build(args.y_lengths)
     classes = curves.enumerate_conj_classes(2, args.max_word_len)
-    system = combinat.HexagonSystem(_build([0.7, 0.8, 0.9]))
+    reference = surface_mod.reference_surface(x.decomposition)
+    system = combinat.HexagonSystem(reference)
     classes = [c for c in classes if not system.excludes(c.word)]
     rows = combinat.distortion_check(x, y, classes, args.C,
+                                     reference=reference,
                                      search_depth=args.depth)
     text = combinat.DISTORTION_CSV_HEADER + "\n" + "\n".join(
         combinat.distortion_csv_rows(rows)) + "\n"
@@ -198,8 +206,7 @@ def cmd_thurston_verify_noisy(args, rep):
         t2 = rng.uniform(t1 + 1e-3, spec.T)
         pairs.append((t1, t2))
     dec = surface_mod.builtin_genus2_convenient()
-    family = [c.word for c in
-              curves.enumerate_conj_classes(2, args.max_word_len)]
+    family = _family(args)
     report = thurston.verify_noisy_geodesic(spec, dec, pairs, family)
     rep.file("noisy_report.json", json.dumps(report, indent=2,
                                              sort_keys=True) + "\n")
@@ -216,8 +223,7 @@ def cmd_thurston_verify_symmetric(args, rep):
     spec = thurston.random_noisy_spec(args.base, args.T,
                                       args.stretched_index, seed=args.seed)
     dec = surface_mod.builtin_genus2_convenient()
-    family = [c.word for c in
-              curves.enumerate_conj_classes(2, args.max_word_len)]
+    family = _family(args)
     rng = random.Random(args.seed + 2)
     ok = True
     for _ in range(args.pairs):
@@ -241,8 +247,7 @@ def cmd_thurston_verify_symmetric(args, rep):
 
 def cmd_thurston_linf_grid(args, rep):
     dec = surface_mod.builtin_genus2_convenient()
-    family = [c.word for c in
-              curves.enumerate_conj_classes(2, args.max_word_len)]
+    family = _family(args)
     report = thurston.linf_grid_check(args.base, args.T, args.k, args.grid,
                                       family, dec)
     rep.file("linf_report.json", json.dumps(report, indent=2,
@@ -254,8 +259,7 @@ def cmd_thurston_linf_grid(args, rep):
 
 def cmd_thurston_asymmetry(args, rep):
     dec = surface_mod.builtin_genus2_convenient()
-    family = [c.word for c in
-              curves.enumerate_conj_classes(2, args.max_word_len)]
+    family = _family(args)
 
     def f(t):
         return -args.slope * t - args.quad * t * t
@@ -434,7 +438,7 @@ def build_parser():
 
     p = ths.add_parser("verify-noisy")
     p.add_argument("--config", required=True)
-    p.add_argument("--max-word-len", type=int, default=12)
+    p.add_argument("--max-word-len", type=int, default=4)
     p.add_argument("--pairs", type=int, default=20)
     p.set_defaults(func=cmd_thurston_verify_noisy)
 
@@ -469,7 +473,7 @@ def build_parser():
 
     p = cos.add_parser("verify")
     p.add_argument("--spec", required=True)
-    p.add_argument("--max-word-len", type=int, default=10)
+    p.add_argument("--max-word-len", type=int, default=4)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--slack", type=float, default=1e-2)
     p.set_defaults(func=cmd_cones_verify)
@@ -528,6 +532,11 @@ def main(argv=None):
         # domain violations from the library name the offending knob
         print("error: %s" % ex, file=sys.stderr)
         return USAGE
+    except ArithmeticError as ex:
+        stage = " ".join(filter(None, (args.command,
+                                       getattr(args, "subcommand", None))))
+        print("error: %s: %s" % (stage, ex), file=sys.stderr)
+        return ARITHMETIC
     rep.flush()
     return code
 

@@ -15,14 +15,12 @@ boundary sides are the positive and negative reals, every linking lift has
 one endpoint on each side, and the period acts by scaling.
 """
 
-import concurrent.futures
 import math
-import os
 
 import mpmath
 
-from . import constants, curves, hyp2
-from .hyp2 import BoundaryPoint, GeodesicLine, PlanePoint
+from . import constants, curves, hyp2, surface
+from .hyp2 import BoundaryPoint, GeodesicLine
 
 
 class CombinatError(ValueError):
@@ -38,14 +36,7 @@ _SEAM_LETTERS = "xyz"
 # --- words ---------------------------------------------------------------------
 
 def _normalize_word(gamma):
-    from . import surface as surface_mod
-    if isinstance(gamma, curves.ConjClass):
-        letters = gamma.word
-    elif isinstance(gamma, str):
-        letters = surface_mod.parse_word(gamma)
-    else:
-        letters = tuple(gamma)
-    reduced = curves.cyclic_reduce(letters)
+    reduced = curves.cyclic_reduce(curves._as_word(gamma))
     if not reduced:
         raise CombinatError("trivial class")
     return reduced
@@ -89,22 +80,19 @@ class _Lift:
     """One lift of a reference curve linking the studied axis.
 
     Endpoints are frame reals on opposite sides of 0; `att`/`rep` keep the
-    curve's own orientation.  `mat` is the frame matrix of the group
+    curve's own orientation.  `path` is the generator word of the group
     element that carried the base axis here, and `shift` the log-scaling
     applied afterwards to land the crossing parameter in [0, period).
     """
 
-    __slots__ = ("curve", "family", "att", "rep", "s", "mat", "shift",
-                 "path")
+    __slots__ = ("curve", "family", "att", "rep", "s", "shift", "path")
 
-    def __init__(self, curve, family, att, rep, mat=None, shift=0.0,
-                 path=None):
+    def __init__(self, curve, family, att, rep, shift=0.0, path=None):
         self.curve = curve
         self.family = family
         self.att = att
         self.rep = rep
         self.s = 0.5 * math.log(-att * rep)
-        self.mat = mat
         self.shift = shift
         self.path = path
 
@@ -127,8 +115,7 @@ class _Lift:
     def shifted(self, delta):
         scale = math.exp(delta)
         return _Lift(self.curve, self.family, self.att * scale,
-                     self.rep * scale, self.mat, self.shift + delta,
-                     self.path)
+                     self.rep * scale, self.shift + delta, self.path)
 
     def line(self):
         return GeodesicLine(BoundaryPoint(self.rep), BoundaryPoint(self.att))
@@ -207,16 +194,6 @@ def _boundary_value(m, b):
     return img.value
 
 
-def _mp_mul(m, n):
-    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
-            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
-
-
-def _mp_inv(m):
-    det = m[0] * m[3] - m[1] * m[2]
-    return (m[3] / det, -m[1] / det, -m[2] / det, m[0] / det)
-
-
 def _mp_mobius(m, val):
     """Boundary action on an extended real; None encodes infinity."""
     if val is None:
@@ -227,23 +204,6 @@ def _mp_mobius(m, val):
     if den == 0:
         return None
     return (m[0] * val + m[1]) / den
-
-
-def _mp_axis(m):
-    """Fixed points (repelling, attracting) of a hyperbolic mp matrix."""
-    a, b, c, d = m
-    if abs(c) < mpmath.mpf("1e-300"):
-        fin = b / (a - d) if a != d else mpmath.mpf(0)
-        if abs(a) > 1:
-            return fin, None
-        return None, fin
-    disc = (a + d) ** 2 - 4
-    sq = mpmath.sqrt(disc)
-    big = (a - d + sq) / (2 * c) if a - d >= 0 else (a - d - sq) / (2 * c)
-    other = -b / (c * big) if big != 0 else (a - d) / c - big
-    if abs(c * big + d) > 1:
-        return other, big
-    return big, other
 
 
 class _Frame:
@@ -273,8 +233,7 @@ class _Frame:
                 axis = hyp2.axis_endpoints(marked.holonomy(w))
                 rep = hyp2.mobius_boundary(self.from_axis, axis.start)
                 att = hyp2.mobius_boundary(self.from_axis, axis.end)
-                hol = _conj(self.from_axis, self.to_axis, marked.holonomy(w))
-                self.curve_specs.append((idx, family, rep, att, hol))
+                self.curve_specs.append((idx, family, rep, att))
         self._mp_setup()
 
     def _mp_setup(self):
@@ -285,10 +244,10 @@ class _Frame:
         endpoints of every recorded lift are recomputed at high precision
         from the generator word that produced them.
         """
-        from . import surface as surface_mod
         marked = self.marked
-        with mpmath.workdps(surface_mod._DPS):
-            rep, att = _mp_axis(marked._mp_holonomy(self.word))
+        with mpmath.workdps(surface._DPS):
+            rep, att = hyp2.fixed_points(*marked._mp_holonomy(self.word),
+                                         mpmath.sqrt)
             if rep is None or att is None:
                 if att is None:
                     frame = (mpmath.mpf(1), rep, mpmath.mpf(0), mpmath.mpf(1))
@@ -298,25 +257,24 @@ class _Frame:
                 frame = (att, rep, mpmath.mpf(1), mpmath.mpf(1))
             else:
                 frame = (att, -rep, mpmath.mpf(1), mpmath.mpf(-1))
-            self._mp_from_axis = _mp_inv(frame)
+            self._mp_from_axis = surface._inv(frame)
             self._mp_gens = {}
             for i, g in enumerate(marked._mp_generators, start=1):
                 self._mp_gens[i] = g
-                self._mp_gens[-i] = _mp_inv(g)
+                self._mp_gens[-i] = surface._inv(g)
             self._mp_spec_ends = {}
             for family, words in (("P", marked.curve_words),
                                   ("H", marked.seam_words)):
                 for idx, w in enumerate(words, start=1):
-                    self._mp_spec_ends[(idx, family)] = _mp_axis(
-                        marked._mp_holonomy(w))
+                    self._mp_spec_ends[(idx, family)] = hyp2.fixed_points(
+                        *marked._mp_holonomy(w), mpmath.sqrt)
 
     def refine_endpoints(self, path, spec):
         """High-precision frame endpoints (rep, att) of a lift, or None."""
-        from . import surface as surface_mod
-        with mpmath.workdps(surface_mod._DPS):
+        with mpmath.workdps(surface._DPS):
             m = self._mp_from_axis
             for letter in path:
-                m = _mp_mul(m, self._mp_gens[letter])
+                m = surface._mul(m, self._mp_gens[letter])
             rep_b, att_b = self._mp_spec_ends[(spec[0], spec[1])]
             rep = _mp_mobius(m, rep_b)
             att = _mp_mobius(m, att_b)
@@ -326,23 +284,15 @@ class _Frame:
                 return None
             return float(rep), float(att)
 
-    def line_values(self, mat, spec):
-        """Frame endpoint reals (rep, att) of mat applied to a base axis."""
-        _idx, _family, rep_b, att_b, _hol = spec
-        rep = _boundary_value(mat, rep_b)
-        att = _boundary_value(mat, att_b)
+    def lift_of(self, mat, spec):
+        """Lift of a base axis carried by mat, if it links the frame axis."""
+        rep = _boundary_value(mat, spec[2])
+        att = _boundary_value(mat, spec[3])
         if not (math.isfinite(rep) and math.isfinite(att)):
             return None
-        return rep, att
-
-    def lift_of(self, mat, spec):
-        vals = self.line_values(mat, spec)
-        if vals is None:
-            return None
-        rep, att = vals
         if rep == 0.0 or att == 0.0 or rep * att >= 0.0:
             return None
-        return _Lift(spec[0], spec[1], att, rep, mat=mat)
+        return _Lift(spec[0], spec[1], att, rep)
 
 
 def _node_key(m):
@@ -373,7 +323,7 @@ _COARSE_KEY_TOL = 1e-4
 
 def _collect_lifts(frame, depth, beam_width=_BEAM_WIDTH):
     period = frame.period
-    # one bucket per reference curve: (key1, key2, mat, path), merged when
+    # one bucket per reference curve: (key1, key2, path), merged when
     # both keys agree within the float scatter of the endpoint mapping
     buckets = {}
 
@@ -389,7 +339,7 @@ def _collect_lifts(frame, depth, beam_width=_BEAM_WIDTH):
             if any(abs(k1 - e[0]) < _COARSE_KEY_TOL
                    and abs(k2 - e[1]) < _COARSE_KEY_TOL for e in entries):
                 continue
-            entries.append((k1, k2, mat, path))
+            entries.append((k1, k2, path))
 
     identity = hyp2.IsometryMatrix.identity()
     record(identity, ())
@@ -419,12 +369,12 @@ def _collect_lifts(frame, depth, beam_width=_BEAM_WIDTH):
     for (idx, family), entries in buckets.items():
         spec = next(s for s in frame.curve_specs
                     if s[0] == idx and s[1] == family)
-        for _k1, _k2, mat, path in entries:
+        for _k1, _k2, path in entries:
             vals = frame.refine_endpoints(path, spec)
             if vals is None:
                 continue
             rep, att = vals
-            lift = _Lift(idx, family, att, rep, mat=mat, path=path)
+            lift = _Lift(idx, family, att, rep, path=path)
             j = math.floor(lift.s / period)
             lift = lift.shifted(-j * period)
             key = (idx, family, round(lift.key1, 7), round(lift.key2, 7))
@@ -559,7 +509,7 @@ def _seam_conjugator(marked, seam_idx, pants_idx, max_len=4):
 
     identity = hyp2.IsometryMatrix.identity()
     if check(identity):
-        return identity, ()
+        return ()
     level = [(identity, 0, ())]
     for _ in range(max_len):
         nxt = []
@@ -571,55 +521,34 @@ def _seam_conjugator(marked, seam_idx, pants_idx, max_len=4):
                 child = mat @ (g if letter > 0 else g.inverse())
                 child_word = word + (letter,)
                 if check(child):
-                    return child, child_word
+                    return child_word
                 nxt.append((child, letter, child_word))
         level = nxt
     return None
 
 
 class _Counter:
-    """Enumerates lifts of a pants curve crossing a given seam lift."""
+    """Enumerates lifts of a pants curve crossing a given seam lift.
+
+    The census walks seam-power products whose float64 endpoints degrade
+    long before the crossing window is exhausted on pinched surfaces, so
+    it runs in extended precision from the generator word of each lift.
+    """
 
     def __init__(self, seq):
-        from . import surface as surface_mod
         frame = seq._frame
         self.frame = frame
         marked = frame.marked
-        self.conjugators = {}
-        conj_words = {}
-        for s_idx in (1, 2, 3):
-            for p_idx in (1, 2, 3):
-                found = (None if p_idx == s_idx
-                         else _seam_conjugator(marked, s_idx, p_idx))
-                if found is None:
-                    self.conjugators[(s_idx, p_idx)] = None
-                    continue
-                e, word = found
-                self.conjugators[(s_idx, p_idx)] = _conj(
-                    frame.from_axis, frame.to_axis, e)
-                conj_words[(s_idx, p_idx)] = word
-        self.seam_hols = {}
-        self.pants_specs = {}
-        for spec in frame.curve_specs:
-            if spec[1] == "H":
-                self.seam_hols[spec[0]] = spec[4]
-            else:
-                self.pants_specs[spec[0]] = spec
-        # extended-precision copies: the census walks seam-power products
-        # whose float64 endpoints degrade long before the crossing window
-        # is exhausted on pinched surfaces
-        with mpmath.workdps(surface_mod._DPS):
-            ident = (mpmath.mpf(1), mpmath.mpf(0),
-                     mpmath.mpf(0), mpmath.mpf(1))
+        words = {(s_idx, p_idx): (None if p_idx == s_idx
+                                  else _seam_conjugator(marked, s_idx, p_idx))
+                 for s_idx in (1, 2, 3) for p_idx in (1, 2, 3)}
+        with mpmath.workdps(surface._DPS):
             self._mp_seam = {
                 idx: marked._mp_holonomy(marked.seam_words[idx - 1])
                 for idx in (1, 2, 3)}
-            self._mp_conj = {}
-            for key, word in conj_words.items():
-                m = ident
-                for letter in word:
-                    m = _mp_mul(m, frame._mp_gens[letter])
-                self._mp_conj[key] = m
+            self._mp_conj = {key: (None if word is None
+                                   else marked._mp_holonomy(word))
+                             for key, word in words.items()}
 
     def lines_through(self, h, p_idx, center=0.0, misses_cap=12, m_cap=200):
         """Frame lines of pants-curve lifts crossing the seam lift h.
@@ -627,66 +556,26 @@ class _Counter:
         Endpoints come out recentered by the axis flow at `center` so the
         caller can compare them with other similarly recentered chords.
         """
-        conj = self.conjugators.get((h.curve, p_idx))
-        if conj is None or h.mat is None:
+        conj = self._mp_conj[(h.curve, p_idx)]
+        if conj is None:
             return []
-        spec = self.pants_specs[p_idx]
         scale = math.exp(h.shift - center)
         h_line = h.shifted(-center).line()
-        if h.path is not None:
-            return self._lines_mp(h, p_idx, scale, h_line,
-                                  misses_cap, m_cap)
-        nu = self.seam_hols[h.curve]
-        nu_inv = nu.inverse()
         out = []
-        for direction in (1, -1):
-            mat = h.mat if direction == 1 else h.mat @ nu_inv
-            step = nu if direction == 1 else nu_inv
-            misses, steps = 0, 0
-            while misses < misses_cap and steps <= m_cap:
-                hit = False
-                try:
-                    vals = self.frame.line_values(mat @ conj, spec)
-                    if vals is not None:
-                        rep, att = vals[0] * scale, vals[1] * scale
-                        line = GeodesicLine(BoundaryPoint(rep),
-                                            BoundaryPoint(att))
-                        hit = hyp2.geodesics_link(line, h_line)
-                except hyp2.Hyp2Error:
-                    hit = False
-                if hit:
-                    out.append(line)
-                    misses = 0
-                else:
-                    misses += 1
-                try:
-                    # long seam-power products exhaust float precision;
-                    # past that point there are no further crossings anyway
-                    mat = mat @ step
-                except hyp2.Hyp2Error:
-                    break
-                steps += 1
-        return out
-
-    def _lines_mp(self, h, p_idx, scale, h_line, misses_cap, m_cap):
-        """Census scan with endpoints recomputed from the generator word."""
-        from . import surface as surface_mod
-        out = []
-        with mpmath.workdps(surface_mod._DPS):
+        with mpmath.workdps(surface._DPS):
             base = self.frame._mp_from_axis
             for letter in h.path:
-                base = _mp_mul(base, self.frame._mp_gens[letter])
-            conj = self._mp_conj[(h.curve, p_idx)]
+                base = surface._mul(base, self.frame._mp_gens[letter])
             nu = self._mp_seam[h.curve]
-            nu_inv = _mp_inv(nu)
+            nu_inv = surface._inv(nu)
             rep_b, att_b = self.frame._mp_spec_ends[(p_idx, "P")]
             for direction in (1, -1):
-                cur = base if direction == 1 else _mp_mul(base, nu_inv)
+                cur = base if direction == 1 else surface._mul(base, nu_inv)
                 step = nu if direction == 1 else nu_inv
                 misses, steps = 0, 0
                 while misses < misses_cap and steps <= m_cap:
                     hit = False
-                    m = _mp_mul(cur, conj)
+                    m = surface._mul(cur, conj)
                     rep = _mp_mobius(m, rep_b)
                     att = _mp_mobius(m, att_b)
                     if rep is not None and att is not None and rep != att:
@@ -705,7 +594,7 @@ class _Counter:
                         misses = 0
                     else:
                         misses += 1
-                    cur = _mp_mul(cur, step)
+                    cur = surface._mul(cur, step)
                     steps += 1
         return out
 
@@ -903,16 +792,13 @@ def distortion_check(x_surface, y_surface, classes, C, reference=None,
     the choice of untwisted surface, and the sequence geometry is much
     better conditioned away from the pinched regime.
     """
-    from . import surface as surface_mod
     for s in (x_surface, y_surface):
         if not s.coords.untwisted:
             raise CombinatError("surfaces must be untwisted")
         if max(s.coords.lengths) > eps:
             raise CombinatError("surfaces must be pinched below eps")
     if reference is None:
-        reference = surface_mod.build_holonomy(
-            x_surface.decomposition,
-            surface_mod.FNCoordinates([0.7, 0.8, 0.9]))
+        reference = surface.reference_surface(x_surface.decomposition)
     pants_words = HexagonSystem(reference).pants_words
     lx = [x_surface.curve_length(w) for w in pants_words]
     ly = [y_surface.curve_length(w) for w in pants_words]
@@ -932,16 +818,8 @@ def distortion_check(x_surface, y_surface, classes, C, reference=None,
         data = classify_and_rotate(seq)
         return word, data, combinatorial_rotation(data)
 
-    # per-class work is pure; collect in input order regardless of pool size
-    workers = max(1, int(os.environ.get("TEICHLAB_THREADS", "1")))
-    if workers > 1 and len(classes) > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(rotation_of, classes))
-    else:
-        results = [rotation_of(cls) for cls in classes]
-
     rows = []
-    for word, data, rotation in results:
+    for word, data, rotation in [rotation_of(cls) for cls in classes]:
         proj_x = sum(rotation[k] * lx[k - 1] for k in (1, 2, 3))
         proj_y = sum(rotation[k] * ly[k - 1] for k in (1, 2, 3))
         len_x = x_surface.curve_length(word)

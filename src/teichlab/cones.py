@@ -8,10 +8,8 @@ that cone, test ray membership with an angular slack, and construct
 designer length data realizing a prescribed cone.
 """
 
-import concurrent.futures
 import json
 import math
-import os
 
 from . import curves
 from . import surface as surface_mod
@@ -104,12 +102,7 @@ class PolyCone:
 
 def jordan_projection(surfaces, gamma):
     """Componentwise length vector; errors name the failing factor."""
-    if isinstance(gamma, curves.ConjClass):
-        word = gamma.word
-    elif isinstance(gamma, str):
-        word = tuple(surface_mod.parse_word(gamma))
-    else:
-        word = tuple(gamma)
+    word = curves._as_word(gamma)
     comps = []
     for j, s in enumerate(surfaces, start=1):
         try:
@@ -357,13 +350,7 @@ def verify_limit_cone(surfaces, family, tol_angular=1e-2):
             "angular_excess": excess,
         }
 
-    workers = max(1, int(os.environ.get("TEICHLAB_THREADS", "1")))
-    if workers > 1 and len(family) > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            rows = list(pool.map(evaluate, family))
-    else:
-        rows = [evaluate(cls) for cls in family]
-
+    rows = [evaluate(cls) for cls in family]
     inside = sum(1 for r in rows if r["in_cone"])
     worst = max(rows, key=lambda r: r["angular_excess"]) if rows else None
     return {
@@ -412,9 +399,7 @@ def decompose_projection(surfaces, gamma, rotation_data=None,
     from . import combinat
     from . import constants
     if rotation_data is None:
-        reference = surface_mod.build_holonomy(
-            surfaces[0].decomposition,
-            surface_mod.FNCoordinates([0.7, 0.8, 0.9]))
+        reference = surface_mod.reference_surface(surfaces[0].decomposition)
         depth = (constants.LIFT_SEARCH_DEPTH_DEFAULT
                  if search_depth is None else search_depth)
         seq = combinat.intersection_sequence(reference, gamma, depth)
@@ -448,9 +433,6 @@ def distinct_jordan_fingerprints(surfaces, classes, tol=1e-9):
 
 
 # --- serialization --------------------------------------------------------------
-
-
-RAY_CSV_FIELDS = ("word", "lambda", "direction", "in_cone", "angular_excess")
 
 
 def ray_csv_header(n):

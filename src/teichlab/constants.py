@@ -7,7 +7,6 @@ one place makes each choice auditable.
 
 # --- generic tolerances -----------------------------------------------------
 
-DET_TOL = 1e-12           # unit-determinant drift allowed after normalization
 PARABOLIC_BAND = 1e-10    # |tr| within this of 2 is classified parabolic
 SIGN_TRACE_CUTOFF = 1e-9  # |tr| above this: canonical sign forces tr >= 0
 RENORM_CHAIN = 16         # compositions between det renormalizations

@@ -34,8 +34,13 @@ def word_to_text(word):
     return surface.format_word(word)
 
 
-def word_from_text(text):
-    return surface.parse_word(text)
+def _as_word(cls):
+    """Letters of a class given as a ConjClass, word text or letter sequence."""
+    if isinstance(cls, ConjClass):
+        return cls.word
+    if isinstance(cls, str):
+        return surface.parse_word(cls)
+    return tuple(cls)
 
 
 class ConjClass:

@@ -5,7 +5,6 @@ unit determinant, identified with their negation; the canonical sign
 makes the trace nonnegative whenever it is meaningfully nonzero.
 """
 
-import cmath
 import math
 
 from . import constants
@@ -255,38 +254,41 @@ def translation_length(m):
     return TranslationLength(0.0, "elliptic")
 
 
-def axis_endpoints(m):
-    """Axis of a hyperbolic isometry, attracting endpoint second.
+def fixed_points(a, b, c, d, sqrt):
+    """Boundary fixed points (repelling, attracting) of a hyperbolic matrix.
 
-    Fixed points on the boundary solve c x^2 + (d - a) x - b = 0; the
-    attracting one is the fixed point whose eigenvalue (c x + d) has
-    modulus > 1.
+    Shared by the float and the extended-precision code: the entries may be
+    floats or mpmath numbers, and `sqrt` is the square root that matches
+    them.  Fixed points solve c x^2 + (d - a) x - b = 0; the attracting one
+    is the fixed point whose eigenvalue (c x + d) has modulus > 1.  None
+    stands for the point at infinity.
     """
-    if translation_length(m).kind != "hyperbolic":
-        raise Hyp2Error("no axis: isometry is not hyperbolic")
-    a, b, c, d = m.m11, m.m12, m.m21, m.m22
     if abs(c) < 1e-300:
         # one fixed point at infinity; eigenvalue there is a
-        fixed_inf = BoundaryPoint.inf()
-        fixed_fin = BoundaryPoint(b / (a - d)) if a != d else BoundaryPoint(0.0)
-        if abs(a) > 1.0:
-            return GeodesicLine(fixed_fin, fixed_inf)
-        return GeodesicLine(fixed_inf, fixed_fin)
-    disc = (a + d) ** 2 - 4.0
-    sq = math.sqrt(disc)
+        fin = b / (a - d) if a != d else a - d
+        if abs(a) > 1:
+            return fin, None
+        return None, fin
+    sq = sqrt((a + d) ** 2 - 4)
     # stable quadratic formula: avoid the cancelling combination a - d -+ sq
     # when c is tiny (root product is -b/c, which is then fuzz over fuzz)
-    if a - d >= 0.0:
-        big = (a - d + sq) / (2.0 * c)
+    if a - d >= 0:
+        big = (a - d + sq) / (2 * c)
     else:
-        big = (a - d - sq) / (2.0 * c)
-    other = -b / (c * big) if big != 0.0 else (a - d) / c - big
-    lam_big = abs(c * big + d)
-    if lam_big > 1.0:
-        att, rep = big, other
-    else:
-        att, rep = other, big
-    return GeodesicLine(BoundaryPoint(rep), BoundaryPoint(att))
+        big = (a - d - sq) / (2 * c)
+    other = -b / (c * big) if big != 0 else (a - d) / c - big
+    if abs(c * big + d) > 1:
+        return other, big
+    return big, other
+
+
+def axis_endpoints(m):
+    """Axis of a hyperbolic isometry, attracting endpoint second."""
+    if translation_length(m).kind != "hyperbolic":
+        raise Hyp2Error("no axis: isometry is not hyperbolic")
+    rep, att = (BoundaryPoint.inf() if v is None else BoundaryPoint(v)
+                for v in fixed_points(m.m11, m.m12, m.m21, m.m22, math.sqrt))
+    return GeodesicLine(rep, att)
 
 
 def geodesics_link(g1, g2):

@@ -160,16 +160,6 @@ def _seam_pieces(shape, i):
     return ck, cl
 
 
-def _g_series(x, delta_star):
-    """g with sqrt((u-1)(u+1)) = u - x/delta + g(x), u = delta/(2x); g(0) = 0.
-
-    Evaluated through the factored square-root product so the leading
-    terms cancel exactly in floating point.
-    """
-    u = delta_star / (2.0 * x)
-    return x / delta_star - 1.0 / (u + math.sqrt(u - 1.0) * math.sqrt(u + 1.0))
-
-
 def _shorts_piece_stable(shape, i, which):
     """One shorts piece c_{i,K} or c_{i,L} via the cancellation-free regrouping.
 

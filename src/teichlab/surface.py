@@ -17,7 +17,6 @@ precision; float views of all geometric data are kept for downstream use.
 """
 
 import json
-import math
 
 import mpmath
 
@@ -473,6 +472,15 @@ def build_holonomy(decomposition, coords):
             raise SurfaceError("construction error: relator residual %.3e"
                                % worst)
     return surf
+
+
+def reference_surface(decomposition):
+    """Thick untwisted surface of a decomposition, for rotation data.
+
+    Rotation numbers do not depend on the choice of untwisted surface, and
+    the lift search is much better conditioned away from the pinched regime.
+    """
+    return build_holonomy(decomposition, FNCoordinates([0.7, 0.8, 0.9]))
 
 
 def _genus2_marking(decomposition, geoms, stable, curve_matrices):

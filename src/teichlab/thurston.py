@@ -11,9 +11,7 @@ curve classes never beats it.  The full supremum over all classes is not
 recomputed; every report is a family-restricted certificate.
 """
 
-import concurrent.futures
 import math
-import os
 import random
 
 from . import constants, curves
@@ -223,19 +221,11 @@ def _class_key(word):
     return (len(word), curves._word_key(word))
 
 
-def _as_word(cls):
-    if isinstance(cls, curves.ConjClass):
-        return cls.word
-    if isinstance(cls, str):
-        return tuple(surface_mod.parse_word(cls))
-    return tuple(cls)
-
-
 def ratio_sup(x_surface, y_surface, family, designated=None, expected=None):
     """Max of l_Y/l_X over the family; ties break by canonical word order."""
     if not family:
         raise ThurstonError("family must be nonempty")
-    words = [_as_word(cls) for cls in family]
+    words = [curves._as_word(cls) for cls in family]
 
     def evaluate(word):
         try:
@@ -245,13 +235,7 @@ def ratio_sup(x_surface, y_surface, family, designated=None, expected=None):
             return None
         return ly / lx
 
-    workers = max(1, int(os.environ.get("TEICHLAB_THREADS", "1")))
-    if workers > 1 and len(words) > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            ratios = list(pool.map(evaluate, words))
-    else:
-        ratios = [evaluate(w) for w in words]
-
+    ratios = [evaluate(w) for w in words]
     evaluated = [(w, r) for w, r in zip(words, ratios) if r is not None]
     skipped = len(words) - len(evaluated)
     if not evaluated:
@@ -263,7 +247,7 @@ def ratio_sup(x_surface, y_surface, family, designated=None, expected=None):
                    if r >= sup_ratio * (1.0 - 1e-12)), key=_class_key)
     exact = False
     if designated is not None and expected is not None:
-        des = _as_word(designated)
+        des = curves._as_word(designated)
         des_ratio = evaluate(des)
         exact = (des_ratio is not None
                  and abs(des_ratio - expected) <= 1e-9 * expected

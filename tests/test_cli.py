@@ -218,3 +218,31 @@ def test_tolerance_profile_flag(capsys):
     code, _, _ = run(["--tolerance-profile", "strict", "hexagon",
                       "--a", "0.1", "0.2", "0.3"], capsys)
     assert code == 0
+
+
+def test_arithmetic_error_exit_3(capsys):
+    # exp(800) overflows while building the first path point
+    code, out, err = run(["thurston", "asymmetry", "--base", "800", "-12.5",
+                          "-12.2", "--max-word-len", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: thurston asymmetry: math range error\n"
+
+
+def test_default_word_lengths_run(tmp_path, capsys):
+    cfg = tmp_path / "noisy.json"
+    cfg.write_text(json.dumps({"base_log_lengths": [-13.0, -12.5, -12.2],
+                               "T": 1.0, "stretched_index": 0, "D": 5.0,
+                               "seed": 7}))
+    code, out, _ = run(["thurston", "verify-noisy", "--config", str(cfg),
+                        "--pairs", "1"], capsys)
+    assert code == 0
+    assert "passed 1" in out
+    spec = tmp_path / "L.json"
+    spec.write_text(json.dumps({"rows": [[0.8, 0.1, 0.1],
+                                         [0.15, 0.8, 0.05],
+                                         [0.1, 0.2, 0.7]]}))
+    code, out, _ = run(["cones", "verify", "--spec", str(spec),
+                        "--scale", "1e-3"], capsys)
+    assert code == 0
+    assert "classes 390 " in out

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from teichlab import combinat, curves, hyp2, surface
@@ -329,17 +330,6 @@ def test_distortion_csv_schema():
     assert float(fields[header_fields.index("ratio")]) == pytest.approx(1.0)
 
 
-def test_distortion_parallel_matches_serial(monkeypatch):
-    X = make_surface([1e-6, 5e-5, 1e-5])
-    Y = make_surface([1e-4, 1e-6, 2e-5])
-    classes = ["c", "cD"]
-    serial = distortion_check(X, Y, classes, C=2.0, search_depth=8)
-    monkeypatch.setenv("TEICHLAB_THREADS", "2")
-    parallel = distortion_check(X, Y, classes, C=2.0, search_depth=8)
-    for a, b in zip(serial, parallel):
-        assert a == b
-
-
 # --- internals ------------------------------------------------------------------
 
 
@@ -371,3 +361,34 @@ def test_primitive_root_multiplicity(thick):
     rot = combinatorial_rotation(classify_and_rotate(seq))
     base_rot = combinatorial_rotation(classify_and_rotate(base))
     assert rot == {k: 2 * v for k, v in base_rot.items()}
+
+
+def test_mp_fixed_points_match_float_axes(reference):
+    # the extended-precision frame data and the float axes come from one
+    # fixed-point routine; on the six hexagon-system words they must agree
+    words = reference.curve_words + reference.seam_words
+    assert len(words) == 6
+    with mpmath.workdps(surface._DPS):
+        for w in words:
+            got = hyp2.fixed_points(*reference._mp_holonomy(w), mpmath.sqrt)
+            axis = hyp2.axis_endpoints(reference.holonomy(w))
+            for mp_end, end in zip(got, (axis.start, axis.end)):
+                if end.is_infinity:
+                    assert mp_end is None
+                else:
+                    assert float(mp_end) == pytest.approx(end.value,
+                                                          rel=1e-10,
+                                                          abs=1e-300)
+
+
+def test_mp_fixed_points_upper_triangular():
+    # c = 0: infinity is attracting exactly when |a| > 1
+    with mpmath.workdps(surface._DPS):
+        big, small = mpmath.mpf(2), mpmath.mpf("0.5")
+        b, zero = mpmath.mpf(3), mpmath.mpf(0)
+        rep, att = hyp2.fixed_points(big, b, zero, small, mpmath.sqrt)
+        assert att is None and rep is not None
+        rep, att = hyp2.fixed_points(small, b, zero, big, mpmath.sqrt)
+        assert rep is None and att is not None
+        rep, att = hyp2.fixed_points(-big, b, zero, -small, mpmath.sqrt)
+        assert att is None and rep is not None

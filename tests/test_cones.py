@@ -331,16 +331,6 @@ def test_ray_csv_schema(pinched_pair):
         float(parts[-1])
 
 
-def test_verify_parallel_matches_serial(pinched_pair, monkeypatch):
-    family = curves.enumerate_conj_classes(2, 4)
-    serial = cones.verify_limit_cone(pinched_pair, family)
-    monkeypatch.setenv("TEICHLAB_THREADS", "4")
-    parallel = cones.verify_limit_cone(pinched_pair, family)
-    assert [r["word"] for r in serial["rows"]] == [
-        r["word"] for r in parallel["rows"]]
-    assert serial["worst_excess"] == parallel["worst_excess"]
-
-
 # --- designer cones -------------------------------------------------------------
 
 

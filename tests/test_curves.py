@@ -124,7 +124,7 @@ def test_enumerate_budget_error():
 def test_word_text_round_trip():
     w = (1, -2, 3, -4)
     assert curves.word_to_text(w) == "aBcD"
-    assert curves.word_from_text("aBcD") == w
+    assert curves._as_word("aBcD") == w
 
 
 # --- pants words ---------------------------------------------------------------

@@ -186,16 +186,6 @@ def test_ratio_sup_skips_degenerate_classes(family):
         ratio_sup(X, X, [(1, -1)])
 
 
-def test_ratio_sup_parallel_matches_serial(family, monkeypatch):
-    X = build(FNCoordinates([math.exp(x) for x in BASE]))
-    Y = build(noisy_path_point(random_noisy_spec(BASE, 1.0, 0, seed=4), 0.5))
-    serial = ratio_sup(X, Y, family[:60])
-    monkeypatch.setenv("TEICHLAB_THREADS", "3")
-    parallel = ratio_sup(X, Y, family[:60])
-    assert parallel.sup_ratio == serial.sup_ratio
-    assert parallel.witness == serial.witness
-
-
 # --- noisy geodesic certificates ------------------------------------------------
 
 
