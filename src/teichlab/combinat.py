@@ -187,15 +187,12 @@ def _conj(finv, f, m):
     return finv @ m @ f
 
 
-def _boundary_value(m, b):
-    img = hyp2.mobius_boundary(m, b)
-    if img.is_infinity:
-        return math.inf
-    return img.value
+def _mobius(m, val):
+    """Boundary action on an extended real; None encodes infinity.
 
-
-def _mp_mobius(m, val):
-    """Boundary action on an extended real; None encodes infinity."""
+    `m` is an entry tuple (a, b, c, d) of floats or mpmath numbers; the float
+    operations are those of `hyp2.mobius_boundary`.
+    """
     if val is None:
         if m[2] == 0:
             return None
@@ -231,8 +228,9 @@ class _Frame:
                               ("H", self.system.seam_words)):
             for idx, w in enumerate(words, start=1):
                 axis = hyp2.axis_endpoints(marked.holonomy(w))
-                rep = hyp2.mobius_boundary(self.from_axis, axis.start)
-                att = hyp2.mobius_boundary(self.from_axis, axis.end)
+                rep, att = (None if p.is_infinity else p.value for p in (
+                    hyp2.mobius_boundary(self.from_axis, axis.start),
+                    hyp2.mobius_boundary(self.from_axis, axis.end)))
                 self.curve_specs.append((idx, family, rep, att))
         self._mp_setup()
 
@@ -276,8 +274,8 @@ class _Frame:
             for letter in path:
                 m = surface._mul(m, self._mp_gens[letter])
             rep_b, att_b = self._mp_spec_ends[(spec[0], spec[1])]
-            rep = _mp_mobius(m, rep_b)
-            att = _mp_mobius(m, att_b)
+            rep = _mobius(m, rep_b)
+            att = _mobius(m, att_b)
             if rep is None or att is None or rep == 0 or att == 0:
                 return None
             if (rep > 0) == (att > 0):
@@ -285,10 +283,16 @@ class _Frame:
             return float(rep), float(att)
 
     def lift_of(self, mat, spec):
-        """Lift of a base axis carried by mat, if it links the frame axis."""
-        rep = _boundary_value(mat, spec[2])
-        att = _boundary_value(mat, spec[3])
-        if not (math.isfinite(rep) and math.isfinite(att)):
+        """Lift of a base axis carried by mat, if it links the frame axis.
+
+        `spec` holds the base axis as frame reals (None for infinity); the
+        images are plain float arithmetic on the entries of mat.
+        """
+        m = (mat.m11, mat.m12, mat.m21, mat.m22)
+        rep = _mobius(m, spec[2])
+        att = _mobius(m, spec[3])
+        if rep is None or att is None or not (
+                math.isfinite(rep) and math.isfinite(att)):
             return None
         if rep == 0.0 or att == 0.0 or rep * att >= 0.0:
             return None
@@ -313,7 +317,14 @@ def _node_score(m, period):
     # huge matrix entries on pinched surfaces cannot underflow to the
     # boundary: |x|/y = |ac + bd| and log|z| = log|(a,b)| - log|(c,d)|
     a, b, c, d = m.m11, m.m12, m.m21, m.m22
-    s = math.log(math.hypot(a, b)) - math.log(math.hypot(c, d))
+    top, bottom = math.hypot(a, b), math.hypot(c, d)
+    if top == 0.0 or bottom == 0.0:
+        raise CombinatError(
+            "float lift search underflowed on this pinched surface: a "
+            "matrix row rounded to zero; rotation numbers do not depend on "
+            "the untwisted surface, so use a thicker one (e.g. lengths "
+            "0.7 0.8 0.9)")
+    s = math.log(top) - math.log(bottom)
     off_axis = math.asinh(abs(a * c + b * d))
     return off_axis + max(0.0, -0.5 * period - s, s - 1.5 * period)
 
@@ -322,6 +333,13 @@ _COARSE_KEY_TOL = 1e-4
 
 
 def _collect_lifts(frame, depth, beam_width=_BEAM_WIDTH):
+    """Refined lifts found by one beam pass, at `depth` and two levels deeper.
+
+    The pass runs to depth + _STABILITY_STEP and copies its buckets as soon
+    as level `depth` is done, so the first list is exactly the one a pass
+    stopped at `depth` finds: same beam, same order, same `seen` set.  If
+    the beam empties before `depth`, both lists come from the final buckets.
+    """
     period = frame.period
     # one bucket per reference curve: (key1, key2, path), merged when
     # both keys agree within the float scatter of the endpoint mapping
@@ -345,7 +363,10 @@ def _collect_lifts(frame, depth, beam_width=_BEAM_WIDTH):
     record(identity, ())
     level = [(identity, 0, ())]
     seen = {_node_key(identity)}
-    for _ in range(depth):
+    at_depth = None
+    for done in range(depth + _STABILITY_STEP):
+        if done == depth:
+            at_depth = {k: list(v) for k, v in buckets.items()}
         children = []
         for mat, last, path in level:
             for letter, gen in frame.gens.items():
@@ -364,23 +385,34 @@ def _collect_lifts(frame, depth, beam_width=_BEAM_WIDTH):
         level = [(m, letter, p) for _, m, letter, p in children[:beam_width]]
         if not level:
             break
+    if at_depth is None:
+        at_depth = buckets
 
-    refined = {}
-    for (idx, family), entries in buckets.items():
-        spec = next(s for s in frame.curve_specs
-                    if s[0] == idx and s[1] == family)
-        for _k1, _k2, path in entries:
-            vals = frame.refine_endpoints(path, spec)
-            if vals is None:
-                continue
-            rep, att = vals
-            lift = _Lift(idx, family, att, rep, path=path)
-            j = math.floor(lift.s / period)
-            lift = lift.shifted(-j * period)
-            key = (idx, family, round(lift.key1, 7), round(lift.key2, 7))
-            if key not in refined:
-                refined[key] = lift
-    return sorted(refined.values(), key=lambda l: (l.s, l.family, l.curve))
+    specs = {(s[0], s[1]): s for s in frame.curve_specs}
+    endpoints = {}
+
+    def refine(found):
+        refined = {}
+        for (idx, family), entries in found.items():
+            for _k1, _k2, path in entries:
+                lift_id = (idx, family, path)
+                if lift_id not in endpoints:
+                    endpoints[lift_id] = frame.refine_endpoints(
+                        path, specs[(idx, family)])
+                vals = endpoints[lift_id]
+                if vals is None:
+                    continue
+                rep, att = vals
+                lift = _Lift(idx, family, att, rep, path=path)
+                j = math.floor(lift.s / period)
+                lift = lift.shifted(-j * period)
+                key = (idx, family, round(lift.key1, 7), round(lift.key2, 7))
+                if key not in refined:
+                    refined[key] = lift
+        return sorted(refined.values(),
+                      key=lambda l: (l.s, l.family, l.curve))
+
+    return refine(at_depth), refine(buckets)
 
 
 # --- intersection sequences ----------------------------------------------------
@@ -452,8 +484,10 @@ def intersection_sequence(marked, gamma,
     """All lifts of the hexagon-system curves linking one axis period.
 
     The search walks reduced words in the marking generators up to the
-    given word length, beam-limited by distance to the axis window, and is
-    certified by agreement with a rerun two letters deeper.
+    given word length, beam-limited by distance to the axis window.  The
+    beam pass continues two letters deeper, and the result is certified by
+    agreement of the lifts found at the requested length with those found
+    at the end of that same pass.
     """
     if not marked.coords.untwisted:
         raise CombinatError("surface must be untwisted")
@@ -461,8 +495,7 @@ def intersection_sequence(marked, gamma,
     frame = _Frame(marked, word)
     if frame.system.excludes(word):
         raise CombinatError("excluded class: member of the hexagon system")
-    lifts = _collect_lifts(frame, search_depth, beam_width)
-    deeper = _collect_lifts(frame, search_depth + _STABILITY_STEP, beam_width)
+    lifts, deeper = _collect_lifts(frame, search_depth, beam_width)
     if not _sequences_match(lifts, deeper):
         raise CombinatError("lift search unstable: increase search_depth")
     if not lifts:
@@ -576,8 +609,8 @@ class _Counter:
                 while misses < misses_cap and steps <= m_cap:
                     hit = False
                     m = surface._mul(cur, conj)
-                    rep = _mp_mobius(m, rep_b)
-                    att = _mp_mobius(m, att_b)
+                    rep = _mobius(m, rep_b)
+                    att = _mobius(m, att_b)
                     if rep is not None and att is not None and rep != att:
                         rep_f = float(rep) * scale
                         att_f = float(att) * scale

@@ -265,7 +265,7 @@ def fixed_points(a, b, c, d, sqrt):
     """
     if abs(c) < 1e-300:
         # one fixed point at infinity; eigenvalue there is a
-        fin = b / (a - d) if a != d else a - d
+        fin = b / (d - a) if a != d else d - a
         if abs(a) > 1:
             return fin, None
         return None, fin

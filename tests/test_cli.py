@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 
 import pytest
 
@@ -246,3 +248,51 @@ def test_default_word_lengths_run(tmp_path, capsys):
                         "--scale", "1e-3"], capsys)
     assert code == 0
     assert "classes 390 " in out
+
+
+def test_pinched_underflow_names_thicker_surface(capsys):
+    # on these cuffs a conjugated generator's float bottom row is (0, 0)
+    code, out, err = run(["rotation", "--lengths", "1e-4", "2e-5", "5e-5",
+                          "--word", "c"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: float lift search underflowed on this "
+                          "pinched surface")
+    assert "thicker" in err
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def readme_examples():
+    """(argv, documented exit code) for each line of the README CLI block."""
+    with open(README) as f:
+        block = f.read().split("## CLI", 1)[1].split("```\n")[1]
+    examples = []
+    for line in block.replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "teichlab"
+        documented = re.search(r"exits (\d)", comment)
+        examples.append((argv[1:], int(documented.group(1)) if documented
+                         else 0))
+    return examples
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    rows = [[0.8, 0.1, 0.1], [0.15, 0.8, 0.05], [0.1, 0.2, 0.7]]
+    (tmp_path / "noisy.json").write_text(json.dumps(
+        {"base_log_lengths": [-13.0, -12.5, -12.2], "T": 1.0,
+         "stretched_index": 0, "D": 5.0, "seed": 7}))
+    (tmp_path / "L.json").write_text(json.dumps({"rows": rows}))
+    (tmp_path / "cone.json").write_text(json.dumps({"vertices": rows}))
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert len(examples) == 16
+    assert [argv[:2] for argv, code in examples if code] == [
+        ["cylinder", "damping"]]
+    for argv, expected in examples:
+        code, out, err = run(argv, capsys)
+        assert code == expected, (argv, err)
+        assert out

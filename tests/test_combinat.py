@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -131,6 +132,84 @@ def test_census_matches_full_word_ball(thick, gamma):
     got = sorted((e.curve, e.family, round(e.s, 6)) for e in seq.entries)
     want = sorted((e.curve, e.family, round(e.s, 6)) for e in oracle)
     assert got == want
+
+
+def lift_bits(lifts):
+    return [(l.curve, l.family, l.att.hex(), l.rep.hex(), l.s.hex(),
+             l.shift.hex(), l.path) for l in lifts]
+
+
+CRITERION_7_LENGTHS = ([0.02, 0.03, 0.025], [0.035, 0.015, 0.04],
+                       [0.012, 0.028, 0.02])
+
+
+@pytest.mark.parametrize("lengths", CRITERION_7_LENGTHS)
+def test_single_pass_matches_pass_stopped_at_depth(lengths, monkeypatch):
+    # the single pass copies its buckets once level `depth` is done; that
+    # list must be bit for bit the one of a pass that ends there.  The lists
+    # still grow between depth 1 and 2, so a copy one level late would show
+    marked = make_surface(lengths)
+    frames = [combinat._Frame(marked, combinat._normalize_word(gamma))
+              for gamma in ("c", "cd", "aB", "aaac")]
+    single = {(i, depth): combinat._collect_lifts(frame, depth)
+              for i, frame in enumerate(frames) for depth in (1, 12)}
+    monkeypatch.setattr(combinat, "_STABILITY_STEP", 0)
+    grew = False
+    for (i, depth), (at_depth, deeper) in single.items():
+        _, stopped = combinat._collect_lifts(frames[i], depth)
+        assert at_depth
+        assert lift_bits(at_depth) == lift_bits(stopped)
+        if depth == 12:
+            assert combinat._sequences_match(at_depth, deeper)
+        else:
+            grew = grew or len(deeper) > len(at_depth)
+    assert grew
+
+
+def mobius_boundary_lift(mat, spec):
+    """Frame endpoints (rep, att) of a lift through hyp2.mobius_boundary."""
+    ends = []
+    for x in spec[2:]:
+        img = hyp2.mobius_boundary(mat, hyp2.BoundaryPoint.inf() if x is None
+                                   else hyp2.BoundaryPoint(x))
+        ends.append(math.inf if img.is_infinity else img.value)
+    rep, att = ends
+    if not (math.isfinite(rep) and math.isfinite(att)):
+        return None
+    if rep == 0.0 or att == 0.0 or rep * att >= 0.0:
+        return None
+    return rep, att
+
+
+def test_lift_of_matches_mobius_boundary(reference):
+    frame = combinat._Frame(reference, combinat._normalize_word("cd"))
+    # an endpoint at infinity on either side, and z -> (-z) / (z - 2),
+    # whose denominator vanishes at 2
+    specs = list(frame.curve_specs) + [
+        (1, "P", None, 0.5), (1, "P", -3.0, None), (1, "P", 2.0, -1.5)]
+    mats = [hyp2.IsometryMatrix(-1.0, 0.0, 1.0, -2.0),
+            hyp2.IsometryMatrix(2.0, 1.0, 0.0, 0.5)]
+    rng = random.Random(41)
+    for _ in range(2000):
+        mats.append(hyp2.rotation_at_i(rng.uniform(-math.pi, math.pi))
+                    @ hyp2.translation_along_imaginary_axis(rng.uniform(-6, 6))
+                    @ hyp2.rotation_at_i(rng.uniform(-math.pi, math.pi)))
+    assert mats[0].m21 * 2.0 + mats[0].m22 == 0.0
+    found = [0] * len(specs)
+    for mat in mats:
+        for i, spec in enumerate(specs):
+            want = mobius_boundary_lift(mat, spec)
+            got = frame.lift_of(mat, spec)
+            if want is None:
+                assert got is None
+                continue
+            found[i] += 1
+            assert (got.rep.hex(), got.att.hex()) == (want[0].hex(),
+                                                      want[1].hex())
+            assert (got.curve, got.family) == spec[:2]
+    assert min(found) >= 50
+    assert frame.lift_of(mats[0], specs[-1]) is None
+    assert frame.lift_of(mats[1], specs[-3]) is None
 
 
 def cyclic_rotations(seq):
@@ -382,13 +461,15 @@ def test_mp_fixed_points_match_float_axes(reference):
 
 
 def test_mp_fixed_points_upper_triangular():
-    # c = 0: infinity is attracting exactly when |a| > 1
+    # c = 0: infinity is attracting exactly when |a| > 1, and the finite
+    # point b / (d - a) is fixed by z -> (a z + b) / d
     with mpmath.workdps(surface._DPS):
         big, small = mpmath.mpf(2), mpmath.mpf("0.5")
         b, zero = mpmath.mpf(3), mpmath.mpf(0)
-        rep, att = hyp2.fixed_points(big, b, zero, small, mpmath.sqrt)
-        assert att is None and rep is not None
-        rep, att = hyp2.fixed_points(small, b, zero, big, mpmath.sqrt)
-        assert rep is None and att is not None
-        rep, att = hyp2.fixed_points(-big, b, zero, -small, mpmath.sqrt)
-        assert att is None and rep is not None
+        for a, d, infinity_attracts in ((big, small, True),
+                                        (small, big, False),
+                                        (-big, -small, True)):
+            rep, att = hyp2.fixed_points(a, b, zero, d, mpmath.sqrt)
+            fin = rep if infinity_attracts else att
+            assert (att if infinity_attracts else rep) is None
+            assert abs((a * fin + b) / d - fin) < mpmath.mpf(10) ** -70

@@ -165,6 +165,24 @@ def test_axis_endpoints_fixed_and_attracting():
             assert abs(p.x - line.end.value) < 1e-5 * max(1, abs(line.end.value))
 
 
+def test_axis_endpoints_upper_triangular_fixed():
+    # c = 0: the finite fixed point of z -> (a z + b) / d is b / (d - a)
+    line = axis_endpoints(IsometryMatrix(math.e, 1, 0, 1 / math.e))
+    assert line.end.is_infinity
+    assert abs(line.start.value + 1 / (math.e - 1 / math.e)) < 1e-15
+    rng = random.Random(29)
+    for _ in range(100):
+        a = math.exp(rng.uniform(-2, 2)) * rng.choice((1, -1))
+        if abs(abs(a) - 1) < 0.05:
+            continue
+        m = IsometryMatrix(a, rng.uniform(-5, 5), 0, 1 / a)
+        line = axis_endpoints(m)
+        for e in (line.start, line.end):
+            img = mobius_boundary(m, e)
+            assert img.close_to(e, tol=1e-12) or (
+                e.is_infinity and img.is_infinity)
+
+
 def test_axis_endpoints_rejects_non_hyperbolic():
     with pytest.raises(Hyp2Error):
         axis_endpoints(hyp2.rotation_at_i(0.3))
