@@ -30,6 +30,11 @@ class CombinatError(ValueError):
 _BEAM_WIDTH = 600
 _STABILITY_STEP = 2
 _KEY_TIE_TOL = 1e-10
+_TIE_MESSAGE = (
+    "boundary order tie: two lift endpoints are closer than the float "
+    "search can order on this pinched surface; rotation numbers do not "
+    "depend on the untwisted surface, so use a thicker one (e.g. lengths "
+    "0.7 0.8 0.9)")
 _SEAM_LETTERS = "xyz"
 
 
@@ -140,7 +145,7 @@ def _disagrees(a, b):
     d1 = a.key1 - b.key1
     d2 = a.key2 - b.key2
     if abs(d1) < _KEY_TIE_TOL or abs(d2) < _KEY_TIE_TOL:
-        raise CombinatError("boundary order tie: endpoints too close to order")
+        raise CombinatError(_TIE_MESSAGE)
     return (d1 > 0) != (d2 > 0)
 
 
@@ -161,7 +166,7 @@ def _linking_shifts(base, probe, period):
         if lo + eps < j < hi - eps:
             out.append(j)
         elif lo - eps <= j <= lo + eps or hi - eps <= j <= hi + eps:
-            raise CombinatError("boundary order tie: endpoints too close to order")
+            raise CombinatError(_TIE_MESSAGE)
         j += 1
     return out
 
@@ -462,9 +467,6 @@ class IntersectionSequence:
         idx = sorted(range(len(self.entries)),
                      key=lambda i: key(self.entries[i]))
         return tuple(idx)
-
-    def signature(self):
-        return tuple((e.curve, e.family) for e in self.entries)
 
 
 def _sequences_match(a, b):

@@ -11,7 +11,7 @@ designer length data realizing a prescribed cone.
 import json
 import math
 
-from . import curves
+from . import combinat, constants, curves
 from . import surface as surface_mod
 
 
@@ -389,20 +389,16 @@ def designer_lengths(cone, n, total_curves, scale):
 
 
 def decompose_projection(surfaces, gamma, rotation_data=None,
-                         search_depth=None):
+                         search_depth=constants.LIFT_SEARCH_DEPTH_DEFAULT):
     """Split the Jordan projection into rotational and remainder parts.
 
     The rotation data is combinatorial and shared by every untwisted
     surface, so it is computed once on a thick reference copy of the
     common decomposition when not supplied.
     """
-    from . import combinat
-    from . import constants
     if rotation_data is None:
         reference = surface_mod.reference_surface(surfaces[0].decomposition)
-        depth = (constants.LIFT_SEARCH_DEPTH_DEFAULT
-                 if search_depth is None else search_depth)
-        seq = combinat.intersection_sequence(reference, gamma, depth)
+        seq = combinat.intersection_sequence(reference, gamma, search_depth)
         rotation_data = combinat.classify_and_rotate(seq)
     r_vec = []
     l_vec = []

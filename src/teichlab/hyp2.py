@@ -121,10 +121,6 @@ class PlanePoint:
     def z(self):
         return complex(self.x, self.y)
 
-    @classmethod
-    def from_complex(cls, z):
-        return cls(z.real, z.imag)
-
     def __repr__(self):
         return "PlanePoint(%r, %r)" % (self.x, self.y)
 

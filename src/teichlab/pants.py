@@ -69,23 +69,6 @@ class HexagonData:
         raise AttributeError("HexagonData is immutable")
 
 
-class CollarShape:
-    """Collar of a closed geodesic: core length, calibration, height."""
-
-    __slots__ = ("core_length", "delta_star", "height")
-
-    def __init__(self, core_length, delta_star=constants.DELTA_STAR_DEFAULT):
-        if core_length < 0:
-            raise PantsError("core length must be nonnegative")
-        object.__setattr__(self, "core_length", float(core_length))
-        object.__setattr__(self, "delta_star", float(delta_star))
-        object.__setattr__(self, "height",
-                           collar_height(core_length, delta_star))
-
-    def __setattr__(self, *a):
-        raise AttributeError("CollarShape is immutable")
-
-
 def _cyclic(shape, i):
     """Half-lengths (a_i, a_{i+1}, a_{i+2}) for boundary index i in {1,2,3}."""
     a = shape.half_lengths
@@ -99,40 +82,52 @@ def pentagon_residuals(a_k, a_l, t, a1, a2, a3):
             math.sinh(a_l) * math.sinh(t) - math.cosh(a3))
 
 
+def _seam_split(a1, a2, a3, m):
+    """Split of boundary 1 and the two pieces of the seam opposite it.
+
+    Returns (a_K, c_K', c_L'): a_K is the piece of boundary 1 facing
+    boundary 2, and c_K', c_L' are the seam pieces on either side of the
+    splitting perpendicular.  `m` is `math` for floats or `mpmath` for
+    extended precision.  The pentagon elimination gives
+    tanh a_K = sinh a1 cosh a2 / (cosh a3 + cosh a1 cosh a2); as
+    a_K = 1/2 log1p(2 sinh a1 cosh a2 / (cosh a3 + e^-a1 cosh a2)) every
+    term is positive, so it keeps full precision for small and large a1.
+    c_L' reads a1 - a_K only through cosh, which is flat where that
+    difference cancels.
+    """
+    ch2 = m.cosh(a2)
+    a_k = m.log1p(2 * m.sinh(a1) * ch2 / (m.cosh(a3) + m.exp(-a1) * ch2)) / 2
+    return (a_k, m.asinh(m.cosh(a_k) / m.sinh(a2)),
+            m.asinh(m.cosh(a1 - a_k) / m.sinh(a3)))
+
+
+def _split(shape, i):
+    """Float (a_{i,K}, a_{i,L}, t, c_K', c_L') of boundary i.
+
+    a_L comes from the pentagon identity sinh a_L sinh t = cosh a3, not
+    from a1 - a_K, which cancels when a_L is much shorter than a1.
+    """
+    a1, a2, a3 = _cyclic(shape, i)
+    a_k, ck, cl = _seam_split(a1, a2, a3, math)
+    sinh_t = math.cosh(a2) / math.sinh(a_k)
+    return (a_k, math.asinh(math.cosh(a3) / sinh_t), math.asinh(sinh_t),
+            ck, cl)
+
+
+def _splits(shape):
+    return [_split(shape, i) for i in (1, 2, 3)]
+
+
 def solve_pentagon_split(shape, i=1):
     """Split boundary i into the two pentagon pieces.
 
     Returns (a_{i,K}, a_{i,L}, t) where t is the length of the splitting
-    perpendicular.  The root of the one-variable elimination identity is
-    bracketed on (0, a_i) by bisection and polished with one Newton step.
+    perpendicular.  a_{i,K} comes from the closed form in `_seam_split`,
+    the kernel that the 80-digit `surface.PantsGeometry` shares, and a_{i,L}
+    and t from the pentagon identities.  No bracket is needed, and all three
+    keep full relative precision for half-lengths from 1e-12 to 30.
     """
-    a1, a2, a3 = _cyclic(shape, i)
-    ratio = math.cosh(a2) / math.cosh(a3)
-
-    def f(u):
-        return math.sinh(u) * (1.0 + math.cosh(a1) * ratio) - \
-            math.cosh(u) * math.sinh(a1) * ratio
-
-    def fprime(u):
-        return math.cosh(u) * (1.0 + math.cosh(a1) * ratio) - \
-            math.sinh(u) * math.sinh(a1) * ratio
-
-    lo, hi = 0.0, a1
-    flo = f(lo)
-    if flo >= 0:
-        raise PantsError("pentagon split bracket failed")
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    u = 0.5 * (lo + hi)
-    u -= f(u) / fprime(u)
-    if not 0.0 < u < a1:
-        u = min(max(u, lo), hi)
-    t = math.asinh(math.cosh(a2) / math.sinh(u))
-    return u, a1 - u, t
+    return _split(shape, i)[:3]
 
 
 def seam_lengths(shape):
@@ -142,37 +137,15 @@ def seam_lengths(shape):
     and i+2); its two pentagon pieces come from arcsinh of the quoted
     pentagon identities.
     """
-    out = []
-    for i in (1, 2, 3):
-        _, a2, a3 = _cyclic(shape, i)
-        ck, cl = _seam_pieces(shape, i)
-        out.append(ck + cl)
-    return tuple(out)
+    return tuple(ck + cl for _, _, _, ck, cl in _splits(shape))
 
 
-def _seam_pieces(shape, i):
-    _, a2, a3 = _cyclic(shape, i)
-    if a2 == 0 or a3 == 0:
-        raise PantsError("degenerate boundary: infinite seam")
-    a_k, a_l, _ = solve_pentagon_split(shape, i)
-    ck = math.asinh(math.cosh(a_k) / math.sinh(a2))
-    cl = math.asinh(math.cosh(a_l) / math.sinh(a3))
-    return ck, cl
-
-
-def _shorts_piece_stable(shape, i, which):
+def _shorts_piece(a_side, a_split, d):
     """One shorts piece c_{i,K} or c_{i,L} via the cancellation-free regrouping.
 
     sinh(c' - arccosh(u)) = cosh(c')/(u + sqrt(u^2-1)) - u e^{-c'} with
     u = delta_*/(2 a), every factor evaluated without subtractive blowup.
     """
-    _, a2, a3 = _cyclic(shape, i)
-    a_k, a_l, _ = solve_pentagon_split(shape, i)
-    if which == "K":
-        a_side, a_split = a2, a_k
-    else:
-        a_side, a_split = a3, a_l
-    d = shape.delta_star
     u = d / (2.0 * a_side)
     sinh_cp = math.cosh(a_split) / math.sinh(a_side)
     cosh_cp = math.sqrt(1.0 + sinh_cp * sinh_cp)
@@ -182,6 +155,13 @@ def _shorts_piece_stable(shape, i, which):
     return math.asinh(s)
 
 
+def _shorts_lengths(shape, splits):
+    a, d = shape.half_lengths, shape.delta_star
+    return tuple(_shorts_piece(a[i % 3], a_k, d)
+                 + _shorts_piece(a[(i + 1) % 3], a_l, d)
+                 for i, (a_k, a_l, _, _, _) in enumerate(splits, 1))
+
+
 def shorts_side_lengths(shape):
     """Geodesic side lengths (c_1, c_2, c_3) of the shorts hexagon.
 
@@ -189,8 +169,7 @@ def shorts_side_lengths(shape):
     arbitrarily pinched boundaries.
     """
     shape.require_shorts()
-    return tuple(_shorts_piece_stable(shape, i, "K")
-                 + _shorts_piece_stable(shape, i, "L") for i in (1, 2, 3))
+    return _shorts_lengths(shape, _splits(shape))
 
 
 def shorts_side_lengths_subtraction(shape):
@@ -198,9 +177,8 @@ def shorts_side_lengths_subtraction(shape):
     shape.require_shorts()
     d = shape.delta_star
     out = []
-    for i in (1, 2, 3):
+    for i, (_, _, _, ck, cl) in enumerate(_splits(shape), 1):
         _, a2, a3 = _cyclic(shape, i)
-        ck, cl = _seam_pieces(shape, i)
         out.append(ck - math.acosh(d / (2.0 * a2))
                    + cl - math.acosh(d / (2.0 * a3)))
     return tuple(out)
@@ -209,16 +187,12 @@ def shorts_side_lengths_subtraction(shape):
 def hexagon_data(shape):
     """All derived hexagon side data for one shorts hexagon."""
     shape.require_shorts()
-    splits = []
-    heights = []
-    for i in (1, 2, 3):
-        a_k, a_l, t = solve_pentagon_split(shape, i)
-        splits.append((a_k, a_l))
-        heights.append(t)
-    return HexagonData(seam_lengths=seam_lengths(shape),
-                       splits=tuple(splits),
-                       split_heights=tuple(heights),
-                       shorts_lengths=shorts_side_lengths(shape),
+    splits = _splits(shape)
+    return HexagonData(seam_lengths=tuple(ck + cl
+                                          for _, _, _, ck, cl in splits),
+                       splits=tuple((a_k, a_l) for a_k, a_l, _, _, _ in splits),
+                       split_heights=tuple(t for _, _, t, _, _ in splits),
+                       shorts_lengths=_shorts_lengths(shape, splits),
                        hypercycle_side=shape.delta_star / 2.0)
 
 

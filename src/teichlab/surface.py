@@ -20,7 +20,7 @@ import json
 
 import mpmath
 
-from . import hyp2, pants
+from . import pants
 from .hyp2 import BoundaryPoint, GeodesicLine, IsometryMatrix, PlanePoint
 
 _DPS = 80
@@ -223,20 +223,6 @@ def _frame_base(f):
     return PlanePoint(float((f[0] * f[2] + f[1] * f[3]) / den), float(1 / den))
 
 
-def _seam_pieces_mp(a1, a2, a3):
-    """Split of boundary 1 and the two seam pieces of the seam opposite it.
-
-    Closed form of the pentagon elimination: tanh of the piece facing
-    boundary 2 is sinh a1 cosh a2 / (cosh a3 + cosh a1 cosh a2); all terms
-    positive, no cancellation.
-    """
-    u = mpmath.atanh(mpmath.sinh(a1) * mpmath.cosh(a2)
-                     / (mpmath.cosh(a3) + mpmath.cosh(a1) * mpmath.cosh(a2)))
-    ck = mpmath.asinh(mpmath.cosh(u) / mpmath.sinh(a2))
-    cl = mpmath.asinh(mpmath.cosh(a1 - u) / mpmath.sinh(a3))
-    return u, ck + cl
-
-
 # --- single-pants geometry -----------------------------------------------------
 
 class PantsGeometry:
@@ -245,9 +231,13 @@ class PantsGeometry:
     Boundary matrices X[k] satisfy X1 X2 X3 = 1 and translate the hexagon's
     boundary lines by twice the half-lengths.  The marked foot of boundary k
     is the hexagon corner between the boundary side and seam k+1; it sits at
-    parameter 0 of the boundary axis frame used for gluing.  Float views
-    (axes, feet, seam_lines, vertices, X as IsometryMatrix) are provided for
-    geometric consumers; the mpmath internals carry the precision.
+    parameter 0 of the boundary axis frame used for gluing.  The seam
+    lengths come from `pants._seam_split` at 80 digits, the closed form
+    that the float pentagon split uses too.  The mpmath internals carry the
+    precision; the float views (axes, feet, seam_lines, vertices, X as
+    IsometryMatrix) are read only by tests, and building the axes raises
+    Hyp2Error ("geodesic needs distinct endpoints") once a cuff is below
+    about 2e-6, where two float endpoints coincide.
     """
 
     def __init__(self, half_lengths):
@@ -255,8 +245,11 @@ class PantsGeometry:
             a = [mpmath.mpf(v) for v in half_lengths]
             if any(v <= 0 for v in a):
                 raise SurfaceError("half lengths must be positive")
-            seam = [_seam_pieces_mp(a[i % 3], a[(i + 1) % 3], a[(i + 2) % 3])[1]
-                    for i in range(3)]
+            seam = []
+            for i in range(3):
+                _, ck, cl = pants._seam_split(a[i], a[(i + 1) % 3],
+                                              a[(i + 2) % 3], mpmath)
+                seam.append(ck + cl)
             # sides: alpha1, zeta3', alpha2, zeta1', alpha3, zeta2'
             side_lengths = [a[0], seam[2], a[1], seam[0], a[2], seam[1]]
             quarter = _rot(mpmath.pi / 2)

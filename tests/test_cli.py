@@ -261,6 +261,17 @@ def test_pinched_underflow_names_thicker_surface(capsys):
     assert "thicker" in err
 
 
+def test_pinched_order_tie_names_thicker_surface(capsys):
+    # two lift endpoints of aB on these cuffs are closer than the tie
+    # tolerance, so the float search cannot order them
+    code, out, err = run(["rotation", "--lengths", "1e-4", "2e-5", "5e-5",
+                          "--word", "aB"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: boundary order tie: ")
+    assert "use a thicker one" in err
+
+
 README = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "README.md")
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,6 +58,39 @@ def test_pentagon_matches_2d_newton_oracle():
     assert abs(a_k - ok) < 1e-12
     assert abs(a_l - ol) < 1e-12
     assert abs(t - ot) < 1e-11
+
+
+def test_pentagon_split_matches_60_digit_reference():
+    # half-lengths log-uniform over [1e-12, 30]; the reference is the
+    # atanh form of the elimination, evaluated at 60 digits
+    rng = random.Random(2512)
+    for _ in range(200):
+        shape = PantsShape(*(math.exp(rng.uniform(math.log(1e-12),
+                                                  math.log(30.0)))
+                             for _ in range(3)))
+        for i in (1, 2, 3):
+            a_k, a_l, t = pants.solve_pentagon_split(shape, i)
+            with mpmath.workdps(60):
+                a1, a2, a3 = (mpmath.mpf(v) for v in pants._cyclic(shape, i))
+                ref_k = mpmath.atanh(
+                    mpmath.sinh(a1) * mpmath.cosh(a2)
+                    / (mpmath.cosh(a3) + mpmath.cosh(a1) * mpmath.cosh(a2)))
+                ref_l = a1 - ref_k
+                ref_t = mpmath.asinh(mpmath.cosh(a2) / mpmath.sinh(ref_k))
+                for got, want in ((a_k, ref_k), (a_l, ref_l), (t, ref_t)):
+                    assert abs(got - want) <= 1e-14 * want, (shape, i)
+
+
+def test_pentagon_split_far_outside_criterion_range():
+    # cosh 70 ~ 1e30: the identities hold to relative, not absolute, 1e-14
+    shape = PantsShape(70.0, 0.2, 0.3)
+    for i in (1, 2, 3):
+        a_k, a_l, t = pants.solve_pentagon_split(shape, i)
+        a1, a2, a3 = pants._cyclic(shape, i)
+        add, r1, r2 = pants.pentagon_residuals(a_k, a_l, t, a1, a2, a3)
+        assert abs(add) <= 1e-14 * a1
+        assert abs(r1) <= 1e-14 * math.cosh(a2)
+        assert abs(r2) <= 1e-14 * math.cosh(a3)
 
 
 def test_pentagon_rejects_bad_shape():

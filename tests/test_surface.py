@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,6 +130,26 @@ def test_pants_geometry_seam_lengths_match_float_oracle():
     g = surface.PantsGeometry((0.25, 0.4, 0.55))
     for got, want in zip(g.seam_lengths, expected):
         assert abs(got - want) < 1e-12
+
+
+def test_pants_geometry_seam_lengths_match_hexagon_law():
+    # cosh c_1' = (cosh a1 + cosh a2 cosh a3) / (sinh a2 sinh a3), evaluated
+    # at 80 digits without the shared pentagon-split kernel
+    rng = random.Random(417)
+    for _ in range(30):
+        halves = [math.exp(rng.uniform(math.log(1e-5), math.log(10.0)))
+                  for _ in range(3)]
+        g = surface.PantsGeometry(halves)
+        with mpmath.workdps(80):
+            a = [mpmath.mpf(v) for v in halves]
+            for i in range(3):
+                a1, a2, a3 = a[i], a[(i + 1) % 3], a[(i + 2) % 3]
+                law = mpmath.acosh(
+                    (mpmath.cosh(a1) + mpmath.cosh(a2) * mpmath.cosh(a3))
+                    / (mpmath.sinh(a2) * mpmath.sinh(a3)))
+                _, ck, cl = pants._seam_split(a1, a2, a3, mpmath)
+                assert abs(ck + cl - law) <= mpmath.mpf(10) ** -70 * law
+                assert abs(g.seam_lengths[i] - float(law)) <= 2.0 ** -52 * law
 
 
 def test_pants_geometry_rejects_nonpositive():
