@@ -105,8 +105,11 @@ def cmd_hexagon(args, rep):
         for i in (1, 2, 3):
             a_k, a_l, t = pants.solve_pentagon_split(shape, i)
             b1, b2, b3 = pants._cyclic(shape, i)
-            res = pants.pentagon_residuals(a_k, a_l, t, b1, b2, b3)
-            worst = max(worst, max(abs(r) for r in res))
+            add, r2, r3 = pants.pentagon_residuals(a_k, a_l, t, b1, b2, b3)
+            # relative to the terms they cancel: float carries ~1e-16 of
+            # cosh a_i, which is above 1e-10 absolute once a_i is ~15
+            worst = max(worst, abs(add) / max(1.0, b1),
+                        abs(r2) / math.cosh(b2), abs(r3) / math.cosh(b3))
     rep.say("shapes %d worst_residual %s tol %s"
             % (len(shapes), _fmt(worst), _fmt(tol)))
     return PASS if worst <= tol else FAIL

@@ -261,10 +261,7 @@ class _Frame:
             else:
                 frame = (att, -rep, mpmath.mpf(1), mpmath.mpf(-1))
             self._mp_from_axis = surface._inv(frame)
-            self._mp_gens = {}
-            for i, g in enumerate(marked._mp_generators, start=1):
-                self._mp_gens[i] = g
-                self._mp_gens[-i] = surface._inv(g)
+            self._mp_gens = marked._mp_letters
             self._mp_spec_ends = {}
             for family, words in (("P", marked.curve_words),
                                   ("H", marked.seam_words)):

@@ -102,14 +102,25 @@ class PolyCone:
 
 def jordan_projection(surfaces, gamma):
     """Componentwise length vector; errors name the failing factor."""
-    word = curves._as_word(gamma)
-    comps = []
-    for j, s in enumerate(surfaces, start=1):
-        try:
-            comps.append(s.curve_length(word))
-        except surface_mod.SurfaceError as ex:
-            raise ConesError("factor %d: %s" % (j, ex))
-    return JordanVector(comps, word)
+    return next(_jordan_vectors(surfaces, [gamma]))
+
+
+def _jordan_vectors(surfaces, classes):
+    """Jordan projections of the classes, yielded in order.
+
+    The lengths come from one batched pass per factor; the vectors are
+    made one at a time, so callers hold only what they keep.  A class that
+    is not hyperbolic in some factor raises ConesError when it is reached,
+    naming its first such factor.
+    """
+    words = [curves._as_word(cls) for cls in classes]
+    columns = [s.curve_lengths(words) for s in surfaces]
+    for i, word in enumerate(words):
+        comps = [col[i] for col in columns]
+        for j, length in enumerate(comps, start=1):
+            if isinstance(length, surface_mod.SurfaceError):
+                raise ConesError("factor %d: %s" % (j, length))
+        yield JordanVector(comps, word)
 
 
 # --- hulls on the simplex slice ------------------------------------------------
@@ -329,18 +340,18 @@ def verify_limit_cone(surfaces, family, tol_angular=1e-2):
         raise ConesError("diagonal direction not interior to the cone")
 
     pants_words = surfaces[0].curve_words
+    pants_dirs = [lam.direction()
+                  for lam in _jordan_vectors(surfaces, pants_words)]
     vertex_hits = []
     for v in cone.vertex_directions:
         hit = None
-        for w in pants_words:
-            lam = jordan_projection(surfaces, w)
-            if all(abs(a - b) <= 1e-9 for a, b in zip(lam.direction(), v)):
+        for w, d in zip(pants_words, pants_dirs):
+            if all(abs(a - b) <= 1e-9 for a, b in zip(d, v)):
                 hit = w
                 break
         vertex_hits.append(hit)
 
-    def evaluate(cls):
-        lam = jordan_projection(surfaces, cls)
+    def evaluate(lam):
         excess = cone.angular_excess(lam.components)
         return {
             "word": curves.word_to_text(lam.word),
@@ -350,7 +361,7 @@ def verify_limit_cone(surfaces, family, tol_angular=1e-2):
             "angular_excess": excess,
         }
 
-    rows = [evaluate(cls) for cls in family]
+    rows = [evaluate(lam) for lam in _jordan_vectors(surfaces, family)]
     inside = sum(1 for r in rows if r["in_cone"])
     worst = max(rows, key=lambda r: r["angular_excess"]) if rows else None
     return {
@@ -418,9 +429,7 @@ def distinct_jordan_fingerprints(surfaces, classes, tol=1e-9):
     to be large; genuine Zariski density of the product representation is
     assumed, not proven, throughout this module.
     """
-    fps = []
-    for cls in classes:
-        fps.append(jordan_projection(surfaces, cls).components)
+    fps = [lam.components for lam in _jordan_vectors(surfaces, classes)]
     for i in range(len(fps)):
         for j in range(i + 1, len(fps)):
             if all(abs(a - b) <= tol for a, b in zip(fps[i], fps[j])):

@@ -13,7 +13,9 @@ Matrix entries of the representation grow like exp(2 * seam length), and
 recovering a translation length ~1e-4 from the trace of such a matrix
 cancels ~exp(4 * seam length) worth of digits.  Double precision cannot
 survive that for short cuffs, so the holonomy core runs in mpmath extended
-precision; float views of all geometric data are kept for downstream use.
+precision.  Lengths, holonomies and the generators that the lift search
+conjugates leave it as floats; the float views of the pants geometry
+(axes, feet, seam lines, vertices, X) are read only by tests.
 """
 
 import json
@@ -352,12 +354,16 @@ class MarkedSurface:
                  geoms, relator_residual):
         self.decomposition = decomposition
         self.coords = coords
-        self._mp_generators = mp_generators
+        # signed letter -> extended-precision matrix, inverses formed once
+        with mpmath.workdps(_DPS):
+            self._mp_letters = {}
+            for i, g in enumerate(mp_generators, start=1):
+                self._mp_letters[i] = g
+                self._mp_letters[-i] = _inv(g)
         self.generators = [_to_float_matrix(m) for m in mp_generators]
         self.generator_names = generator_names
         self.curve_words = curve_words
         self.seam_words = seam_words
-        self._mp_curve_matrices = mp_curve_matrices
         self.curve_matrices = [_to_float_matrix(m) for m in mp_curve_matrices]
         self.placements = placements
         self.geoms = geoms
@@ -368,8 +374,7 @@ class MarkedSurface:
             word = parse_word(word)
         m = _MP_ID
         for v in word:
-            g = self._mp_generators[abs(v) - 1]
-            m = _mul(m, _inv(g) if v < 0 else g)
+            m = _mul(m, self._mp_letters[v])
         return m
 
     def holonomy(self, word):
@@ -378,20 +383,61 @@ class MarkedSurface:
             return _to_float_matrix(self._mp_holonomy(word))
 
     def curve_length(self, word):
-        """Translation length of the word's holonomy.
+        """Translation length of the word's holonomy (see `curve_lengths`)."""
+        length, = self.curve_lengths([word])
+        if isinstance(length, SurfaceError):
+            raise length
+        return length
 
-        Computed from the trace in extended precision: the cancellation in
-        tr - 2 is of order exp(4 * axis distance) and exceeds what float64
-        carries for short cuffs.
+    def curve_lengths(self, words):
+        """Translation lengths of the words' holonomies, in the order given.
+
+        Each entry is a float, or the SurfaceError that `curve_length`
+        raises for a word whose image is not hyperbolic.  Lengths come from
+        the trace in extended precision: the cancellation in tr - 2 is of
+        order exp(4 * axis distance) and exceeds what float64 carries for
+        short cuffs.
+
+        The holonomy is the same left fold from the identity as
+        `_mp_holonomy`, so every length is bit-identical to a word-by-word
+        evaluation.  A stack holds the products of the previous word's
+        proper prefixes; a word reuses those of its common prefix with it,
+        forms one product per further letter but the last, and takes only
+        the trace of its last product.  Words that share prefixes should
+        come in a row (enumeration order does this); any order gives the
+        same lengths.
         """
+        letters = self._mp_letters
+        out = []
         with mpmath.workdps(_DPS):
-            m = self._mp_holonomy(word)
-            t = abs(m[0] + m[3])
-            if t <= 2:
-                kind = "parabolic" if abs(t - 2) < 1e-40 else "elliptic"
-                raise SurfaceError("not a closed geodesic class: image is %s"
-                                   % kind)
-            return float(2 * mpmath.acosh(t / 2))
+            # stack[k]: product of the first k letters of `prev`; it never
+            # holds the product of a whole word, so the reuse is capped at
+            # the stack height
+            stack = [_MP_ID]
+            prev = ()
+            for word in words:
+                if isinstance(word, str):
+                    word = parse_word(word)
+                k = 0
+                top = min(len(word), len(stack)) - 1
+                while k < top and word[k] == prev[k]:
+                    k += 1
+                del stack[k + 1:]
+                for v in word[k:-1]:
+                    stack.append(_mul(stack[-1], letters[v]))
+                prev = word
+                m = stack[-1]
+                g = letters[word[-1]] if word else _MP_ID
+                # the diagonal of _mul(m, g), summed as _mul rounds it
+                t = abs((m[0] * g[0] + m[1] * g[2])
+                        + (m[2] * g[1] + m[3] * g[3]))
+                if t <= 2:
+                    kind = "parabolic" if abs(t - 2) < 1e-40 else "elliptic"
+                    out.append(SurfaceError(
+                        "not a closed geodesic class: image is %s" % kind))
+                else:
+                    out.append(float(2 * mpmath.acosh(t / 2)))
+        return out
 
 
 def build_holonomy(decomposition, coords):

@@ -227,15 +227,15 @@ def ratio_sup(x_surface, y_surface, family, designated=None, expected=None):
         raise ThurstonError("family must be nonempty")
     words = [curves._as_word(cls) for cls in family]
 
-    def evaluate(word):
-        try:
-            lx = x_surface.curve_length(word)
-            ly = y_surface.curve_length(word)
-        except surface_mod.SurfaceError:
-            return None
-        return ly / lx
+    def evaluate(batch):
+        # one batched length pass per surface; None where either is not
+        # hyperbolic
+        return [None if isinstance(lx, surface_mod.SurfaceError)
+                or isinstance(ly, surface_mod.SurfaceError) else ly / lx
+                for lx, ly in zip(x_surface.curve_lengths(batch),
+                                  y_surface.curve_lengths(batch))]
 
-    ratios = [evaluate(w) for w in words]
+    ratios = evaluate(words)
     evaluated = [(w, r) for w, r in zip(words, ratios) if r is not None]
     skipped = len(words) - len(evaluated)
     if not evaluated:
@@ -248,7 +248,7 @@ def ratio_sup(x_surface, y_surface, family, designated=None, expected=None):
     exact = False
     if designated is not None and expected is not None:
         des = curves._as_word(designated)
-        des_ratio = evaluate(des)
+        des_ratio, = evaluate([des])
         exact = (des_ratio is not None
                  and abs(des_ratio - expected) <= 1e-9 * expected
                  and sup_ratio <= expected * (1.0 + 1e-9))

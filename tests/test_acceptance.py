@@ -42,9 +42,11 @@ def test_criterion_01_pentagon_hexagon_identities():
         for i in (1, 2, 3):
             a_k, a_l, t = pants.solve_pentagon_split(shape, i)
             b1, b2, b3 = pants._cyclic(shape, i)
-            res = pants.pentagon_residuals(a_k, a_l, t, b1, b2, b3)
-            worst_add = max(worst_add, abs(res[0]))
-            worst_res = max(worst_res, abs(res[1]), abs(res[2]))
+            add, r2, r3 = pants.pentagon_residuals(a_k, a_l, t, b1, b2, b3)
+            # each residual relative to the terms it cancels
+            worst_add = max(worst_add, abs(add) / max(1.0, b1))
+            worst_res = max(worst_res, abs(r2) / math.cosh(b2),
+                            abs(r3) / math.cosh(b3))
     ok = worst_res <= 1e-10 and worst_add <= 1e-11
     _line(1, ok, "worst residual %.3g, worst additivity %.3g"
           % (worst_res, worst_add))

@@ -27,6 +27,15 @@ def test_hexagon_random_shapes(capsys):
     assert "shapes 50" in out
 
 
+def test_hexagon_long_side_judged_relative(capsys):
+    # cosh 70 is about 1.3e30: the identities hold to ~1e-15 of it, which
+    # is far above 1e-10 in absolute terms
+    code, out, _ = run(["hexagon", "--a", "70", "0.2", "0.3"], capsys)
+    assert code == 0
+    worst = float(out.split("worst_residual ")[1].split()[0])
+    assert worst < 1e-13
+
+
 def test_surface_consistency(capsys):
     code, out, _ = run(["surface", "--lengths", "0.5", "0.6", "0.7"],
                        capsys)

@@ -307,6 +307,18 @@ def test_verify_twist_persistence(dec):
     assert report["vertex_attained"]
 
 
+def test_verify_names_first_degenerate_class_and_factor(pinched_pair):
+    # one batched length pass per factor still reports the first failing
+    # class at its first failing factor, as a class-by-class walk would
+    family = [c.word for c in curves.enumerate_conj_classes(2, 2)]
+    family.insert(3, (1, -1))
+    family.append((2, -2))
+    with pytest.raises(cones.ConesError) as raised:
+        cones.verify_limit_cone(pinched_pair, family)
+    assert str(raised.value) == ("factor 1: not a closed geodesic class: "
+                                 "image is parabolic")
+
+
 def test_ray_cloud_in_positive_simplex(pinched_pair):
     family = curves.enumerate_conj_classes(2, 4)
     report = cones.verify_limit_cone(pinched_pair, family)

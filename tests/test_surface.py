@@ -265,6 +265,83 @@ def test_non_hyperbolic_word_raises():
         s.curve_length("aA")
 
 
+# --- batched lengths -----------------------------------------------------------
+
+_LETTERS = [1, -1, 2, -2, 3, -3, 4, -4]
+
+
+@pytest.fixture(scope="module")
+def batch_surfaces():
+    return [builtin_surface([0.6, 0.8, 1.1], [0.2, -0.3, 0.1]),
+            builtin_surface([2.3e-6, 3.7e-6, 5e-6]),
+            builtin_surface([1e-3, 2e-4, 5e-4])]
+
+
+def _reference_length(s, word):
+    """2 acosh(|tr|/2) of the word-by-word fold, or the expected message."""
+    with mpmath.workdps(surface._DPS):
+        m = s._mp_holonomy(word)
+        t = abs(m[0] + m[3])
+        if t <= 2:
+            kind = "parabolic" if abs(t - 2) < 1e-40 else "elliptic"
+            return "not a closed geodesic class: image is %s" % kind
+        return float(2 * mpmath.acosh(t / 2))
+
+
+def _assert_batch_matches(s, words):
+    got = s.curve_lengths(words)
+    assert len(got) == len(words)
+    for w, g in zip(words, got):
+        want = _reference_length(s, w)
+        if isinstance(want, str):
+            assert isinstance(g, SurfaceError) and str(g) == want
+        else:
+            assert type(g) is float and g == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=6),
+                min_size=1, max_size=10),
+       st.randoms(use_true_random=False), st.integers(0, 2))
+def test_curve_lengths_bit_identical_to_word_by_word(batch_surfaces, words,
+                                                     rnd, which):
+    # every prefix joins the family, so words extend, shorten and repeat
+    # their neighbours; unreduced words (aA...) are drawn as well
+    family = [tuple(w[:k]) for w in words for k in range(1, len(w) + 1)]
+    s = batch_surfaces[which]
+    _assert_batch_matches(s, sorted(family))
+    rnd.shuffle(family)
+    _assert_batch_matches(s, family)
+
+
+def test_curve_lengths_when_a_word_extends_the_previous_one(batch_surfaces):
+    # the stack never holds a whole word's product, so a word that extends
+    # the previous one may reuse only the previous word's proper prefixes
+    cases = ([(1,), (1, -1)], [(1, 2), (1, 2, 3)], [(1, 2, 3), (1, 2)],
+             [(1, 2), (1, 2), (1, 2, -2)], [(3,), (), (3, 4)])
+    for s in batch_surfaces:
+        for words in cases:
+            _assert_batch_matches(s, words)
+
+
+def test_curve_lengths_report_what_curve_length_raises(batch_surfaces):
+    words = ["ab", "aA", surface.GENUS2_RELATOR, "cd", (2, -2), (1, -1),
+             "a"]
+    for s in batch_surfaces:
+        got = s.curve_lengths(words)
+        errors = 0
+        for w, g in zip(words, got):
+            if isinstance(g, SurfaceError):
+                errors += 1
+                assert str(g) == _reference_length(s, w)
+                with pytest.raises(SurfaceError) as raised:
+                    s.curve_length(w)
+                assert str(raised.value) == str(g)
+            else:
+                assert s.curve_length(w) == g
+        assert errors == 4
+
+
 def test_parse_and_format_word():
     assert surface.parse_word("aBcD") == (1, -2, 3, -4)
     assert surface.format_word((1, -2, 3, -4)) == "aBcD"

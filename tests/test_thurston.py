@@ -186,6 +186,25 @@ def test_ratio_sup_skips_degenerate_classes(family):
         ratio_sup(X, X, [(1, -1)])
 
 
+def test_ratio_sup_independent_of_family_order(family):
+    # the batched lengths share prefix products between neighbours, so the
+    # order changes the work but must not change the certificate; the
+    # degenerate words land next to their prefixes
+    X = build(noisy_path_point(random_noisy_spec(BASE, 1.0, 0, seed=3), 0.0))
+    Y = build(noisy_path_point(random_noisy_spec(BASE, 1.0, 0, seed=3), 0.7))
+    words = sorted(list(family) + [(1, -1), (3, -3), (1, 2, -2)])
+    shuffled = list(words)
+    random.Random(5).shuffle(shuffled)
+    want = ratio_sup(X, Y, words)
+    assert want.skipped == 2
+    for order in (words[::-1], shuffled):
+        got = ratio_sup(X, Y, order)
+        assert got.sup_ratio == want.sup_ratio
+        assert got.witness == want.witness
+        assert got.family_size == want.family_size
+        assert got.skipped == want.skipped
+
+
 # --- noisy geodesic certificates ------------------------------------------------
 
 
