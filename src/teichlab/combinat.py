@@ -35,6 +35,10 @@ _TIE_MESSAGE = (
     "search can order on this pinched surface; rotation numbers do not "
     "depend on the untwisted surface, so use a thicker one (e.g. lengths "
     "0.7 0.8 0.9)")
+_UNDERFLOW_MESSAGE = (
+    "float lift search underflowed on this pinched surface: a matrix row "
+    "rounded to zero; rotation numbers do not depend on the untwisted "
+    "surface, so use a thicker one (e.g. lengths 0.7 0.8 0.9)")
 _SEAM_LETTERS = "xyz"
 
 
@@ -188,10 +192,6 @@ def _angle(x):
 
 # --- the lift search -----------------------------------------------------------
 
-def _conj(finv, f, m):
-    return finv @ m @ f
-
-
 def _mobius(m, val):
     """Boundary action on an extended real; None encodes infinity.
 
@@ -209,7 +209,15 @@ def _mobius(m, val):
 
 
 class _Frame:
-    """The studied geodesic's axis chart and everything expressed in it."""
+    """The studied geodesic's axis chart and everything expressed in it.
+
+    `gens` maps each signed generator letter to its conjugate in the chart
+    as a pair: the entry tuple (a, b, c, d) and the composition count that
+    `hyp2.IsometryMatrix` keeps for it, which `_beam_buckets` carries on by
+    the same renormalization rule.  `curve_specs` holds the base axis of
+    each hexagon-system curve as (idx, family, rep, att) in frame reals,
+    None for infinity.
+    """
 
     def __init__(self, marked, word):
         self.marked = marked
@@ -225,8 +233,9 @@ class _Frame:
         self.from_axis = self.to_axis.inverse()
         self.gens = {}
         for i, g in enumerate(marked.generators, start=1):
-            self.gens[i] = _conj(self.from_axis, self.to_axis, g)
-            self.gens[-i] = _conj(self.from_axis, self.to_axis, g.inverse())
+            for letter, h in ((i, g), (-i, g.inverse())):
+                conj = self.from_axis @ h @ self.to_axis
+                self.gens[letter] = (conj.entries(), conj._chain)
         self.system = HexagonSystem(marked)
         self.curve_specs = []
         for family, words in (("P", self.system.pants_words),
@@ -284,112 +293,155 @@ class _Frame:
                 return None
             return float(rep), float(att)
 
-    def lift_of(self, mat, spec):
-        """Lift of a base axis carried by mat, if it links the frame axis.
+    def lift_of(self, m, spec):
+        """Lift of a base axis carried by m, if it links the frame axis.
 
-        `spec` holds the base axis as frame reals (None for infinity); the
-        images are plain float arithmetic on the entries of mat.
+        `m` is an entry tuple (a, b, c, d) of floats and `spec` a curve spec.
+        The endpoint images take the float operations of `_mobius`, written
+        out here because the beam runs this test six times per node.  The
+        lift links when both images are finite and their product is
+        negative (a product that underflows to -0.0 does not link).
         """
-        m = (mat.m11, mat.m12, mat.m21, mat.m22)
-        rep = _mobius(m, spec[2])
-        att = _mobius(m, spec[3])
-        if rep is None or att is None or not (
+        a, b, c, d = m
+        rep, att = spec[2], spec[3]
+        if rep is None:
+            if c == 0:
+                return None
+            rep = a / c
+        else:
+            den = c * rep + d
+            if den == 0:
+                return None
+            rep = (a * rep + b) / den
+        if att is None:
+            if c == 0:
+                return None
+            att = a / c
+        else:
+            den = c * att + d
+            if den == 0:
+                return None
+            att = (a * att + b) / den
+        if not rep * att < 0.0 or not (
                 math.isfinite(rep) and math.isfinite(att)):
             return None
-        if rep == 0.0 or att == 0.0 or rep * att >= 0.0:
-            return None
         return _Lift(spec[0], spec[1], att, rep)
-
-
-def _node_key(m):
-    entries = (m.m11, m.m12, m.m21, m.m22)
-    scale = max(abs(v) for v in entries)
-    if scale == 0.0:
-        return (0.0,) * 4
-    sign = 1.0
-    for v in entries:
-        if v != 0.0:
-            sign = 1.0 if v > 0 else -1.0
-            break
-    return tuple(round(sign * v / scale, 9) for v in entries)
-
-
-def _node_score(m, period):
-    # position of the orbit of i in axis coordinates, computed in logs so
-    # huge matrix entries on pinched surfaces cannot underflow to the
-    # boundary: |x|/y = |ac + bd| and log|z| = log|(a,b)| - log|(c,d)|
-    a, b, c, d = m.m11, m.m12, m.m21, m.m22
-    top, bottom = math.hypot(a, b), math.hypot(c, d)
-    if top == 0.0 or bottom == 0.0:
-        raise CombinatError(
-            "float lift search underflowed on this pinched surface: a "
-            "matrix row rounded to zero; rotation numbers do not depend on "
-            "the untwisted surface, so use a thicker one (e.g. lengths "
-            "0.7 0.8 0.9)")
-    s = math.log(top) - math.log(bottom)
-    off_axis = math.asinh(abs(a * c + b * d))
-    return off_axis + max(0.0, -0.5 * period - s, s - 1.5 * period)
 
 
 _COARSE_KEY_TOL = 1e-4
 
 
-def _collect_lifts(frame, depth, beam_width=_BEAM_WIDTH):
-    """Refined lifts found by one beam pass, at `depth` and two levels deeper.
+def _beam_buckets(frame, depth, beam_width):
+    """Raw buckets of one beam pass, copied after level `depth` and at the end.
 
-    The pass runs to depth + _STABILITY_STEP and copies its buckets as soon
-    as level `depth` is done, so the first list is exactly the one a pass
-    stopped at `depth` finds: same beam, same order, same `seen` set.  If
-    the beam empties before `depth`, both lists come from the final buckets.
+    If the beam empties before level `depth`, both are the final dict.  A
+    bucket per reference curve holds entries (k1, k2, path): the keys of
+    a lift shifted into the first period, and the generator word that
+    carried the base axis.  A lift joins its bucket unless both keys agree
+    within _COARSE_KEY_TOL with an entry already there.  Nodes are entry
+    tuples with the composition count of `hyp2.IsometryMatrix`: a child
+    takes the eight multiplies of `IsometryMatrix.__matmul__` in the same
+    order and is renormalized by `IsometryMatrix` once the count passes
+    `constants.RENORM_CHAIN`, so every float matches a search over
+    `IsometryMatrix` products.  Each level keeps the `beam_width` children
+    of lowest score, in a stable sort.
     """
     period = frame.period
-    # one bucket per reference curve: (key1, key2, path), merged when
-    # both keys agree within the float scatter of the endpoint mapping
+    below, above = -0.5 * period, 1.5 * period
+    renorm = constants.RENORM_CHAIN
+    specs = frame.curve_specs
+    lift_of = frame.lift_of
+    gens = [(letter, g, chain) for letter, (g, chain) in frame.gens.items()]
     buckets = {}
 
-    def record(mat, path):
-        for spec in frame.curve_specs:
-            lift = frame.lift_of(mat, spec)
-            if lift is None:
-                continue
-            j = math.floor(lift.s / period)
-            k1 = lift.key1 - j * period
-            k2 = lift.key2 - j * period
-            entries = buckets.setdefault((spec[0], spec[1]), [])
-            if any(abs(k1 - e[0]) < _COARSE_KEY_TOL
-                   and abs(k2 - e[1]) < _COARSE_KEY_TOL for e in entries):
-                continue
-            entries.append((k1, k2, path))
+    def record(lift, path):
+        j = math.floor(lift.s / period)
+        k1 = lift.key1 - j * period
+        k2 = lift.key2 - j * period
+        entries = buckets.setdefault((lift.curve, lift.family), [])
+        if any(abs(k1 - e[0]) < _COARSE_KEY_TOL
+               and abs(k2 - e[1]) < _COARSE_KEY_TOL for e in entries):
+            return
+        entries.append((k1, k2, path))
 
-    identity = hyp2.IsometryMatrix.identity()
-    record(identity, ())
-    level = [(identity, 0, ())]
-    seen = {_node_key(identity)}
+    identity = (1.0, 0.0, 0.0, 1.0)
+    for spec in specs:
+        lift = lift_of(identity, spec)
+        if lift is not None:
+            record(lift, ())
+    level = [(identity, 0, 0, ())]
+    seen = {identity}  # the identity is its own node key
     at_depth = None
     for done in range(depth + _STABILITY_STEP):
         if done == depth:
             at_depth = {k: list(v) for k, v in buckets.items()}
         children = []
-        for mat, last, path in level:
-            for letter, gen in frame.gens.items():
+        for (a, b, c, d), chain, last, path in level:
+            for letter, (ga, gb, gc, gd), gchain in gens:
                 if letter == -last:
                     continue
-                child = mat @ gen
-                key = _node_key(child)
+                na = a * ga + b * gc
+                nb = a * gb + b * gd
+                nc = c * ga + d * gc
+                nd = c * gb + d * gd
+                nchain = max(chain, gchain) + 1
+                if nchain > renorm:
+                    na, nb, nc, nd = hyp2.IsometryMatrix(
+                        na, nb, nc, nd).entries()
+                    nchain = 0
+                # node key: the entries up to sign and scale, to 9 places
+                scale = max(abs(na), abs(nb), abs(nc), abs(nd))
+                if scale == 0.0:
+                    key = (0.0, 0.0, 0.0, 0.0)
+                else:
+                    v = (na if na != 0.0 else nb if nb != 0.0
+                         else nc if nc != 0.0 else nd)
+                    sign = 1.0 if v > 0 else -1.0
+                    key = (round(sign * na / scale, 9),
+                           round(sign * nb / scale, 9),
+                           round(sign * nc / scale, 9),
+                           round(sign * nd / scale, 9))
                 if key in seen:
                     continue
                 seen.add(key)
-                child_path = path + (letter,)
-                record(child, child_path)
-                children.append((_node_score(child, period), child,
-                                 letter, child_path))
+                m = (na, nb, nc, nd)
+                for spec in specs:
+                    lift = lift_of(m, spec)
+                    if lift is not None:
+                        record(lift, path + (letter,))
+                # score: position of the orbit of i in axis coordinates, in
+                # logs so huge entries on pinched surfaces cannot underflow
+                # to the boundary: |x|/y = |ac + bd| and
+                # log|z| = log|(a,b)| - log|(c,d)|
+                top, bottom = math.hypot(na, nb), math.hypot(nc, nd)
+                if top == 0.0 or bottom == 0.0:
+                    raise CombinatError(_UNDERFLOW_MESSAGE)
+                s = math.log(top) - math.log(bottom)
+                score = (math.asinh(abs(na * nc + nb * nd))
+                         + max(0.0, below - s, s - above))
+                children.append((score, m, nchain, letter, path))
         children.sort(key=lambda t: t[0])
-        level = [(m, letter, p) for _, m, letter, p in children[:beam_width]]
+        level = [(m, chain, letter, path + (letter,))
+                 for _, m, chain, letter, path in children[:beam_width]]
         if not level:
             break
     if at_depth is None:
         at_depth = buckets
+    return at_depth, buckets
 
+
+def _collect_lifts(frame, depth, beam_width=_BEAM_WIDTH):
+    """Refined lifts found by one beam pass, at `depth` and two levels deeper.
+
+    The pass (`_beam_buckets`) runs to depth + _STABILITY_STEP and copies
+    its buckets as soon as level `depth` is done, so the first list is
+    exactly the one a pass stopped at `depth` finds: same beam, same order,
+    same `seen` set.  If the beam empties before `depth`, both lists come
+    from the final buckets.  Every bucket entry is refined at 80 digits
+    from its path.
+    """
+    period = frame.period
+    at_depth, buckets = _beam_buckets(frame, depth, beam_width)
     specs = {(s[0], s[1]): s for s in frame.curve_specs}
     endpoints = {}
 

@@ -393,7 +393,10 @@ class MarkedSurface:
         """Translation lengths of the words' holonomies, in the order given.
 
         Each entry is a float, or the SurfaceError that `curve_length`
-        raises for a word whose image is not hyperbolic.  Lengths come from
+        raises for a word whose image is not hyperbolic.  A word whose free
+        reduction is empty gets the error of `aA` (parabolic) whatever its
+        rounded trace, which on pinched surfaces can land far above 2.
+        Other words are folded as given, not reduced.  Lengths come from
         the trace in extended precision: the cancellation in tr - 2 is of
         order exp(4 * axis distance) and exceeds what float64 carries for
         short cuffs.
@@ -407,6 +410,8 @@ class MarkedSurface:
         come in a row (enumeration order does this); any order gives the
         same lengths.
         """
+        from . import curves  # curves imports this module
+
         letters = self._mp_letters
         out = []
         with mpmath.workdps(_DPS):
@@ -431,7 +436,13 @@ class MarkedSurface:
                 # the diagonal of _mul(m, g), summed as _mul rounds it
                 t = abs((m[0] * g[0] + m[1] * g[2])
                         + (m[2] * g[1] + m[3] * g[3]))
-                if t <= 2:
+                # only even words can reduce to the identity, and a word
+                # reduces freely to () exactly when it reduces cyclically
+                # to ()
+                if not len(word) % 2 and not curves.cyclic_reduce(word):
+                    out.append(SurfaceError(
+                        "not a closed geodesic class: image is parabolic"))
+                elif t <= 2:
                     kind = "parabolic" if abs(t - 2) < 1e-40 else "elliptic"
                     out.append(SurfaceError(
                         "not a closed geodesic class: image is %s" % kind))

@@ -221,21 +221,18 @@ def _class_key(word):
     return (len(word), curves._word_key(word))
 
 
-def ratio_sup(x_surface, y_surface, family, designated=None, expected=None):
-    """Max of l_Y/l_X over the family; ties break by canonical word order."""
-    if not family:
+def _ratios(x_lengths, y_lengths):
+    """l_Y/l_X per word from two `curve_lengths` batches; None where either
+    length is not hyperbolic."""
+    return [None if isinstance(lx, surface_mod.SurfaceError)
+            or isinstance(ly, surface_mod.SurfaceError) else ly / lx
+            for lx, ly in zip(x_lengths, y_lengths)]
+
+
+def _sup_certificate(words, ratios):
+    """The certificate of `ratio_sup` from the ratios of its family words."""
+    if not words:
         raise ThurstonError("family must be nonempty")
-    words = [curves._as_word(cls) for cls in family]
-
-    def evaluate(batch):
-        # one batched length pass per surface; None where either is not
-        # hyperbolic
-        return [None if isinstance(lx, surface_mod.SurfaceError)
-                or isinstance(ly, surface_mod.SurfaceError) else ly / lx
-                for lx, ly in zip(x_surface.curve_lengths(batch),
-                                  y_surface.curve_lengths(batch))]
-
-    ratios = evaluate(words)
     evaluated = [(w, r) for w, r in zip(words, ratios) if r is not None]
     skipped = len(words) - len(evaluated)
     if not evaluated:
@@ -245,15 +242,24 @@ def ratio_sup(x_surface, y_surface, family, designated=None, expected=None):
     # supremum (a curve and its powers give ulp-separated ratios)
     witness = min((w for w, r in evaluated
                    if r >= sup_ratio * (1.0 - 1e-12)), key=_class_key)
-    exact = False
-    if designated is not None and expected is not None:
-        des = curves._as_word(designated)
-        des_ratio, = evaluate([des])
-        exact = (des_ratio is not None
-                 and abs(des_ratio - expected) <= 1e-9 * expected
-                 and sup_ratio <= expected * (1.0 + 1e-9))
     return RatioCertificate(sup_ratio, witness, len(words) - skipped,
-                            skipped, exact)
+                            skipped, False)
+
+
+def ratio_sup(x_surface, y_surface, family, designated=None, expected=None):
+    """Max of l_Y/l_X over the family; ties break by canonical word order."""
+    words = [curves._as_word(cls) for cls in family]
+    # one batched length pass per surface
+    cert = _sup_certificate(words, _ratios(x_surface.curve_lengths(words),
+                                           y_surface.curve_lengths(words)))
+    if designated is not None and expected is not None:
+        des = [curves._as_word(designated)]
+        des_ratio, = _ratios(x_surface.curve_lengths(des),
+                             y_surface.curve_lengths(des))
+        cert.exact_flag = (des_ratio is not None
+                           and abs(des_ratio - expected) <= 1e-9 * expected
+                           and cert.sup_ratio <= expected * (1.0 + 1e-9))
+    return cert
 
 
 def verify_noisy_geodesic(spec, decomposition, sample_pairs, family,
@@ -330,8 +336,11 @@ def linf_grid_check(base_log_lengths, T, k, grid_n, family, decomposition,
     points = [()]
     for _ in range(k):
         points = [p + (t,) for p in points for t in ticks]
-    surfaces = {p: surface_mod.build_holonomy(decomposition, embed(p))
-                for p in points}
+    # each surface's family lengths once; every ordered pair then forms
+    # the certificate `ratio_sup` would from the same two batches
+    words = [curves._as_word(cls) for cls in family]
+    lengths = {p: surface_mod.build_holonomy(
+        decomposition, embed(p)).curve_lengths(words) for p in points}
 
     results = []
     for a in points:
@@ -342,7 +351,8 @@ def linf_grid_check(base_log_lengths, T, k, grid_n, family, decomposition,
             expected = math.exp(max(diffs))
             axis = max(range(k), key=lambda i: diffs[i])
             for src, dst in ((a, b), (b, a)):
-                cert = ratio_sup(surfaces[src], surfaces[dst], family)
+                cert = _sup_certificate(
+                    words, _ratios(lengths[src], lengths[dst]))
                 ok = (abs(cert.sup_ratio - expected) <= rel_tol * expected
                       if max(diffs) > 0
                       else cert.sup_ratio <= 1.0 + rel_tol)

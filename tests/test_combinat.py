@@ -4,7 +4,7 @@ import random
 import mpmath
 import pytest
 
-from teichlab import combinat, curves, hyp2, surface
+from teichlab import combinat, constants, curves, hyp2, surface
 from teichlab.combinat import (
     CombinatError, HexagonSystem, classify_and_rotate, combinatorial_rotation,
     distortion_check, distortion_csv_rows, intersection_sequence,
@@ -88,6 +88,15 @@ def test_orders_are_permutations(thick):
         assert sorted(order) == list(range(n))
 
 
+def isometry_gens(frame):
+    """The frame's conjugated generators as hyp2.IsometryMatrix products."""
+    gens = {}
+    for i, g in enumerate(frame.marked.generators, start=1):
+        gens[i] = frame.from_axis @ g @ frame.to_axis
+        gens[-i] = frame.from_axis @ g.inverse() @ frame.to_axis
+    return gens
+
+
 def full_ball_census(marked, gamma, depth):
     """Beam-free lift census: the entire reduced-word ball, no pruning."""
     word = combinat._normalize_word(gamma)
@@ -97,7 +106,7 @@ def full_ball_census(marked, gamma, depth):
 
     def record(mat, path):
         for spec in frame.curve_specs:
-            if frame.lift_of(mat, spec) is None:
+            if frame.lift_of(mat.entries(), spec) is None:
                 continue
             vals = frame.refine_endpoints(path, spec)
             if vals is None:
@@ -107,12 +116,13 @@ def full_ball_census(marked, gamma, depth):
             found[(lift.curve, lift.family,
                    round(lift.key1, 7), round(lift.key2, 7))] = lift
 
+    gens = isometry_gens(frame)
     level = [(hyp2.IsometryMatrix.identity(), 0, ())]
     record(level[0][0], ())
     for _ in range(depth):
         nxt = []
         for mat, last, path in level:
-            for letter, gen in frame.gens.items():
+            for letter, gen in gens.items():
                 if letter == -last:
                     continue
                 child = mat @ gen
@@ -199,7 +209,7 @@ def test_lift_of_matches_mobius_boundary(reference):
     for mat in mats:
         for i, spec in enumerate(specs):
             want = mobius_boundary_lift(mat, spec)
-            got = frame.lift_of(mat, spec)
+            got = frame.lift_of(mat.entries(), spec)
             if want is None:
                 assert got is None
                 continue
@@ -208,8 +218,119 @@ def test_lift_of_matches_mobius_boundary(reference):
                                                       want[1].hex())
             assert (got.curve, got.family) == spec[:2]
     assert min(found) >= 50
-    assert frame.lift_of(mats[0], specs[-1]) is None
-    assert frame.lift_of(mats[1], specs[-3]) is None
+    assert frame.lift_of(mats[0].entries(), specs[-1]) is None
+    assert frame.lift_of(mats[1].entries(), specs[-3]) is None
+
+
+def isometry_node_key(m):
+    entries = m.entries()
+    scale = max(abs(v) for v in entries)
+    if scale == 0.0:
+        return (0.0,) * 4
+    sign = 1.0
+    for v in entries:
+        if v != 0.0:
+            sign = 1.0 if v > 0 else -1.0
+            break
+    return tuple(round(sign * v / scale, 9) for v in entries)
+
+
+def isometry_node_score(m, period):
+    a, b, c, d = m.entries()
+    top, bottom = math.hypot(a, b), math.hypot(c, d)
+    if top == 0.0 or bottom == 0.0:
+        raise CombinatError(combinat._UNDERFLOW_MESSAGE)
+    s = math.log(top) - math.log(bottom)
+    off_axis = math.asinh(abs(a * c + b * d))
+    return off_axis + max(0.0, -0.5 * period - s, s - 1.5 * period)
+
+
+def isometry_beam(frame, depth, beam_width=combinat._BEAM_WIDTH):
+    """Raw buckets of the beam pass over hyp2.IsometryMatrix products.
+
+    The search as it ran before nodes became entry tuples: matrices
+    composed with `@`, lifts through `hyp2.mobius_boundary`.
+    """
+    period = frame.period
+    gens = isometry_gens(frame)
+    buckets = {}
+
+    def record(mat, path):
+        for spec in frame.curve_specs:
+            ends = mobius_boundary_lift(mat, spec)
+            if ends is None:
+                continue
+            lift = combinat._Lift(spec[0], spec[1], ends[1], ends[0])
+            j = math.floor(lift.s / period)
+            k1 = lift.key1 - j * period
+            k2 = lift.key2 - j * period
+            entries = buckets.setdefault((spec[0], spec[1]), [])
+            if any(abs(k1 - e[0]) < combinat._COARSE_KEY_TOL
+                   and abs(k2 - e[1]) < combinat._COARSE_KEY_TOL
+                   for e in entries):
+                continue
+            entries.append((k1, k2, path))
+
+    identity = hyp2.IsometryMatrix.identity()
+    record(identity, ())
+    level = [(identity, 0, ())]
+    seen = {isometry_node_key(identity)}
+    at_depth = None
+    for done in range(depth + combinat._STABILITY_STEP):
+        if done == depth:
+            at_depth = {k: list(v) for k, v in buckets.items()}
+        children = []
+        for mat, last, path in level:
+            for letter, gen in gens.items():
+                if letter == -last:
+                    continue
+                child = mat @ gen
+                key = isometry_node_key(child)
+                if key in seen:
+                    continue
+                seen.add(key)
+                child_path = path + (letter,)
+                record(child, child_path)
+                children.append((isometry_node_score(child, period), child,
+                                 letter, child_path))
+        children.sort(key=lambda t: t[0])
+        level = [(m, letter, p) for _, m, letter, p in children[:beam_width]]
+        if not level:
+            break
+    if at_depth is None:
+        at_depth = buckets
+    return at_depth, buckets
+
+
+def bucket_bits(buckets):
+    return {key: [(k1.hex(), k2.hex(), path) for k1, k2, path in entries]
+            for key, entries in buckets.items()}
+
+
+def beam_outcome(search, frame):
+    try:
+        return [bucket_bits(b) for b in search(frame, 6, 150)]
+    except (CombinatError, hyp2.Hyp2Error) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("renorm_chain", [None, 3])
+def test_beam_matches_isometry_matrix_beam(renorm_chain, monkeypatch):
+    # the entry-tuple beam must find the buckets of the IsometryMatrix
+    # search bit for bit, at depth 6 with a beam that cuts from level 3 on.
+    # With RENORM_CHAIN at 3 most products renormalize; on the pinched
+    # surface some of those lose their determinant, and then both searches
+    # must raise the same error
+    if renorm_chain is not None:
+        monkeypatch.setattr(constants, "RENORM_CHAIN", renorm_chain)
+    for lengths in ([0.7, 0.8, 0.9], CRITERION_7_LENGTHS[0]):
+        marked = make_surface(lengths)
+        for gamma in ("c", "cd", "aB", "aaac"):
+            frame = combinat._Frame(marked, combinat._normalize_word(gamma))
+            got = beam_outcome(combinat._beam_buckets, frame)
+            assert got == beam_outcome(isometry_beam, frame)
+            if lengths == [0.7, 0.8, 0.9]:
+                assert sum(map(len, got[1].values())) > 0
 
 
 def cyclic_rotations(seq):

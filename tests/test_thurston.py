@@ -205,6 +205,32 @@ def test_ratio_sup_independent_of_family_order(family):
         assert got.skipped == want.skipped
 
 
+def test_trivial_words_are_skipped_not_measured():
+    # a word that reduces freely to the identity is no closed geodesic; the
+    # 80-digit fold leaves its trace just above 2 (bcCB on 1e-3/2e-4/5e-4
+    # used to measure 2.5e-31) or, on pinched surfaces, far above it
+    trivial = ["bcCB", "abBA", "bB", "cdCDdcDC", (2, -2, 1, 3, -3, -1)]
+    message = "not a closed geodesic class: image is parabolic"
+    X = build(FNCoordinates([0.7, 0.8, 0.9]))
+    Y = build(FNCoordinates([1e-3, 2e-4, 5e-4]))
+    Z = build(FNCoordinates([2.3e-6, 3.7e-6, 5e-6]))
+    for s in (X, Y, Z):
+        aA, = s.curve_lengths(["aA"])
+        assert str(aA) == message
+        batch = s.curve_lengths(["a"] + trivial + ["c"])
+        for w, got in zip(trivial, batch[1:]):
+            assert isinstance(got, surface.SurfaceError), w
+            assert str(got) == message
+            with pytest.raises(surface.SurfaceError) as err:
+                s.curve_length(w)
+            assert str(err.value) == message
+    for s, t in ((X, Y), (Y, Z)):
+        cert = ratio_sup(s, t, ["a", "c"] + trivial)
+        want = ratio_sup(s, t, ["a", "c"])
+        assert (cert.family_size, cert.skipped) == (2, len(trivial))
+        assert (cert.sup_ratio, cert.witness) == (want.sup_ratio, want.witness)
+
+
 # --- noisy geodesic certificates ------------------------------------------------
 
 
@@ -331,6 +357,36 @@ def test_linf_grid_k1(family):
         assert rs[0]["expected"] == rs[1]["expected"]
         assert rs[0]["sup_ratio"] == pytest.approx(rs[1]["sup_ratio"],
                                                    rel=1e-9)
+
+
+def test_linf_grid_lengths_once_per_surface(family, monkeypatch):
+    # one length batch per grid point, and the report of the per-pair
+    # ratio_sup calls it replaces
+    calls = []
+    batch = surface.MarkedSurface.curve_lengths
+
+    def counting(self, words):
+        calls.append(len(words))
+        return batch(self, words)
+
+    monkeypatch.setattr(surface.MarkedSurface, "curve_lengths", counting)
+    report = linf_grid_check(BASE, 0.6, 1, 4, family, DEC)
+    assert calls == [len(family)] * 4
+    monkeypatch.undo()
+
+    def point(x):
+        return build(FNCoordinates([math.exp(BASE[0] + x[0]),
+                                    math.exp(BASE[1] - x[0]),
+                                    math.exp(BASE[2])]))
+
+    surfaces = {x: point(x) for x in {r["from"] for r in report["pairs"]}}
+    assert len(report["pairs"]) == 12
+    for r in report["pairs"]:
+        cert = ratio_sup(surfaces[r["from"]], surfaces[r["to"]], family)
+        assert r["sup_ratio"] == cert.sup_ratio
+        assert r["witness"] == curves.word_to_text(cert.witness)
+        ok = abs(cert.sup_ratio - r["expected"]) <= 1e-9 * r["expected"]
+        assert r["pass"] == ok
 
 
 def test_linf_grid_validation(family):
