@@ -211,54 +211,30 @@ def _mobius(m, val):
 class _Frame:
     """The studied geodesic's axis chart and everything expressed in it.
 
-    `gens` maps each signed generator letter to its conjugate in the chart
-    as a pair: the entry tuple (a, b, c, d) and the composition count that
-    `hyp2.IsometryMatrix` keeps for it, which `_beam_buckets` carries on by
-    the same renormalization rule.  `curve_specs` holds the base axis of
-    each hexagon-system curve as (idx, family, rep, att) in frame reals,
-    None for infinity.
+    The chart is built once at 80 digits: `_mp_from_axis` maps the axis of
+    the word's holonomy to the imaginary axis, attracting endpoint at
+    infinity, and `_mp_spec_ends` holds the fixed points (rep, att) of each
+    hexagon-system curve.  The float data the beam reads are roundings of
+    it.  `gens` maps each signed generator letter to a pair: the entry tuple
+    (a, b, c, d) of its conjugate in the chart, rounded by
+    `surface._to_float_matrix`, and the composition count 0, which
+    `_beam_buckets` carries on by the renormalization rule of
+    `hyp2.IsometryMatrix`.  `curve_specs` holds the base axis of each curve
+    as (idx, family, rep, att) in frame reals, None for infinity, in the
+    order P1..P3, H1..H3.
     """
 
     def __init__(self, marked, word):
         self.marked = marked
         self.word = word
-        m = marked.holonomy(word)
-        tl = hyp2.translation_length(m)
+        tl = hyp2.translation_length(marked.holonomy(word))
         if tl.kind != "hyperbolic":
             raise CombinatError("class is not a closed geodesic: image is %s"
                                 % tl.kind)
         self.period = tl.length
-        ax = hyp2.axis_endpoints(m)
-        self.to_axis = hyp2.map_zero_inf_to(ax.start, ax.end)
-        self.from_axis = self.to_axis.inverse()
-        self.gens = {}
-        for i, g in enumerate(marked.generators, start=1):
-            for letter, h in ((i, g), (-i, g.inverse())):
-                conj = self.from_axis @ h @ self.to_axis
-                self.gens[letter] = (conj.entries(), conj._chain)
         self.system = HexagonSystem(marked)
-        self.curve_specs = []
-        for family, words in (("P", self.system.pants_words),
-                              ("H", self.system.seam_words)):
-            for idx, w in enumerate(words, start=1):
-                axis = hyp2.axis_endpoints(marked.holonomy(w))
-                rep, att = (None if p.is_infinity else p.value for p in (
-                    hyp2.mobius_boundary(self.from_axis, axis.start),
-                    hyp2.mobius_boundary(self.from_axis, axis.end)))
-                self.curve_specs.append((idx, family, rep, att))
-        self._mp_setup()
-
-    def _mp_setup(self):
-        """Extended-precision data used to refine lift endpoints.
-
-        Boundary fixed points mapped through a product of generators lose
-        several digits to conditioning; the search runs in float64 but the
-        endpoints of every recorded lift are recomputed at high precision
-        from the generator word that produced them.
-        """
-        marked = self.marked
         with mpmath.workdps(surface._DPS):
-            rep, att = hyp2.fixed_points(*marked._mp_holonomy(self.word),
+            rep, att = hyp2.fixed_points(*marked._mp_holonomy(word),
                                          mpmath.sqrt)
             if rep is None or att is None:
                 if att is None:
@@ -269,21 +245,36 @@ class _Frame:
                 frame = (att, rep, mpmath.mpf(1), mpmath.mpf(1))
             else:
                 frame = (att, -rep, mpmath.mpf(1), mpmath.mpf(-1))
-            self._mp_from_axis = surface._inv(frame)
-            self._mp_gens = marked._mp_letters
+            from_axis = surface._inv(frame)
+            self._mp_from_axis = from_axis
+            self.gens = {
+                letter: (surface._to_float_matrix(surface._mul(
+                    surface._mul(from_axis, g), frame)).entries(), 0)
+                for letter, g in marked._mp_letters.items()}
             self._mp_spec_ends = {}
+            self.curve_specs = []
             for family, words in (("P", marked.curve_words),
                                   ("H", marked.seam_words)):
                 for idx, w in enumerate(words, start=1):
-                    self._mp_spec_ends[(idx, family)] = hyp2.fixed_points(
-                        *marked._mp_holonomy(w), mpmath.sqrt)
+                    ends = hyp2.fixed_points(*marked._mp_holonomy(w),
+                                             mpmath.sqrt)
+                    self._mp_spec_ends[(idx, family)] = ends
+                    rep, att = (None if v is None else float(v) for v in (
+                        _mobius(from_axis, e) for e in ends))
+                    self.curve_specs.append((idx, family, rep, att))
+
+    def mp_carry(self, path):
+        """The 80-digit chart map times the holonomy of the word `path`."""
+        with mpmath.workdps(surface._DPS):
+            m = self._mp_from_axis
+            for letter in path:
+                m = surface._mul(m, self.marked._mp_letters[letter])
+            return m
 
     def refine_endpoints(self, path, spec):
         """High-precision frame endpoints (rep, att) of a lift, or None."""
         with mpmath.workdps(surface._DPS):
-            m = self._mp_from_axis
-            for letter in path:
-                m = surface._mul(m, self._mp_gens[letter])
+            m = self.mp_carry(path)
             rep_b, att_b = self._mp_spec_ends[(spec[0], spec[1])]
             rep = _mobius(m, rep_b)
             att = _mobius(m, att_b)
@@ -577,62 +568,26 @@ class RotationData:
         return self.sequence.intersection_number
 
 
-def _seam_conjugator(marked, seam_idx, pants_idx, max_len=4):
-    """Small word whose action carries the pants base axis across the seam."""
-    seam_axis = hyp2.axis_endpoints(marked.holonomy(
-        marked.seam_words[seam_idx - 1]))
-    pants_axis = hyp2.axis_endpoints(marked.holonomy(
-        marked.curve_words[pants_idx - 1]))
-
-    def check(m):
-        try:
-            return hyp2.geodesics_link(hyp2.mobius_line(m, pants_axis),
-                                       seam_axis)
-        except hyp2.Hyp2Error:
-            return False
-
-    identity = hyp2.IsometryMatrix.identity()
-    if check(identity):
-        return ()
-    level = [(identity, 0, ())]
-    for _ in range(max_len):
-        nxt = []
-        for mat, last, word in level:
-            for letter in (1, -1, 2, -2, 3, -3, 4, -4):
-                if letter == -last:
-                    continue
-                g = marked.generators[abs(letter) - 1]
-                child = mat @ (g if letter > 0 else g.inverse())
-                child_word = word + (letter,)
-                if check(child):
-                    return child_word
-                nxt.append((child, letter, child_word))
-        level = nxt
-    return None
-
-
 class _Counter:
     """Enumerates lifts of a pants curve crossing a given seam lift.
 
-    The census walks seam-power products whose float64 endpoints degrade
-    long before the crossing window is exhausted on pinched surfaces, so
-    it runs in extended precision from the generator word of each lift.
+    In the base hexagon, seam s meets pants curves s+1 and s+2 at right
+    angles, so the base axis of each pants curve p != s crosses the base
+    axis of seam s, and the census carries the base axis of p by h's path
+    followed by the powers of the seam holonomy in both directions.  The
+    endpoints of those products degrade in float64 long before the
+    crossing window is exhausted on pinched surfaces, so the census runs
+    in extended precision from the frame's 80-digit chart.
     """
 
     def __init__(self, seq):
         frame = seq._frame
         self.frame = frame
         marked = frame.marked
-        words = {(s_idx, p_idx): (None if p_idx == s_idx
-                                  else _seam_conjugator(marked, s_idx, p_idx))
-                 for s_idx in (1, 2, 3) for p_idx in (1, 2, 3)}
         with mpmath.workdps(surface._DPS):
             self._mp_seam = {
                 idx: marked._mp_holonomy(marked.seam_words[idx - 1])
                 for idx in (1, 2, 3)}
-            self._mp_conj = {key: (None if word is None
-                                   else marked._mp_holonomy(word))
-                             for key, word in words.items()}
 
     def lines_through(self, h, p_idx, center=0.0, misses_cap=12, m_cap=200):
         """Frame lines of pants-curve lifts crossing the seam lift h.
@@ -640,16 +595,13 @@ class _Counter:
         Endpoints come out recentered by the axis flow at `center` so the
         caller can compare them with other similarly recentered chords.
         """
-        conj = self._mp_conj[(h.curve, p_idx)]
-        if conj is None:
+        if p_idx == h.curve:
             return []
         scale = math.exp(h.shift - center)
         h_line = h.shifted(-center).line()
         out = []
         with mpmath.workdps(surface._DPS):
-            base = self.frame._mp_from_axis
-            for letter in h.path:
-                base = surface._mul(base, self.frame._mp_gens[letter])
+            base = self.frame.mp_carry(h.path)
             nu = self._mp_seam[h.curve]
             nu_inv = surface._inv(nu)
             rep_b, att_b = self.frame._mp_spec_ends[(p_idx, "P")]
@@ -659,9 +611,8 @@ class _Counter:
                 misses, steps = 0, 0
                 while misses < misses_cap and steps <= m_cap:
                     hit = False
-                    m = surface._mul(cur, conj)
-                    rep = _mobius(m, rep_b)
-                    att = _mobius(m, att_b)
+                    rep = _mobius(cur, rep_b)
+                    att = _mobius(cur, att_b)
                     if rep is not None and att is not None and rep != att:
                         rep_f = float(rep) * scale
                         att_f = float(att) * scale

@@ -204,11 +204,6 @@ def mobius_boundary(m, b):
     return BoundaryPoint((m.m11 * b.value + m.m12) / denom)
 
 
-def mobius_line(m, line):
-    return GeodesicLine(mobius_boundary(m, line.start),
-                        mobius_boundary(m, line.end))
-
-
 def distance(p, q):
     """Hyperbolic distance between two points of the upper half-plane."""
     d2 = (p.x - q.x) ** 2 + (p.y - q.y) ** 2

@@ -13,9 +13,10 @@ Matrix entries of the representation grow like exp(2 * seam length), and
 recovering a translation length ~1e-4 from the trace of such a matrix
 cancels ~exp(4 * seam length) worth of digits.  Double precision cannot
 survive that for short cuffs, so the holonomy core runs in mpmath extended
-precision.  Lengths, holonomies and the generators that the lift search
-conjugates leave it as floats; the float views of the pants geometry
-(axes, feet, seam lines, vertices, X) are read only by tests.
+precision.  Lengths and holonomies leave it as floats; the lift search
+conjugates the 80-digit generators into its axis chart before it rounds
+them.  The float views of the pants geometry (axes, feet, seam lines,
+vertices, X) are read only by tests.
 """
 
 import json
@@ -360,7 +361,6 @@ class MarkedSurface:
             for i, g in enumerate(mp_generators, start=1):
                 self._mp_letters[i] = g
                 self._mp_letters[-i] = _inv(g)
-        self.generators = [_to_float_matrix(m) for m in mp_generators]
         self.generator_names = generator_names
         self.curve_words = curve_words
         self.seam_words = seam_words
@@ -393,22 +393,24 @@ class MarkedSurface:
         """Translation lengths of the words' holonomies, in the order given.
 
         Each entry is a float, or the SurfaceError that `curve_length`
-        raises for a word whose image is not hyperbolic.  A word whose free
-        reduction is empty gets the error of `aA` (parabolic) whatever its
-        rounded trace, which on pinched surfaces can land far above 2.
-        Other words are folded as given, not reduced.  Lengths come from
+        raises for a word whose image is not hyperbolic.  Each word is
+        cyclically reduced first (`curves.cyclic_reduce`), which keeps its
+        conjugacy class: folding a conjugate such as cdCD a (cdCD)^-1 as
+        given passes through entries large enough that the trace's excess
+        over 2 drowns in rounding on pinched surfaces.  A word that reduces
+        to nothing gets the error of `aA` (parabolic).  Lengths come from
         the trace in extended precision: the cancellation in tr - 2 is of
         order exp(4 * axis distance) and exceeds what float64 carries for
         short cuffs.
 
-        The holonomy is the same left fold from the identity as
-        `_mp_holonomy`, so every length is bit-identical to a word-by-word
-        evaluation.  A stack holds the products of the previous word's
-        proper prefixes; a word reuses those of its common prefix with it,
-        forms one product per further letter but the last, and takes only
-        the trace of its last product.  Words that share prefixes should
-        come in a row (enumeration order does this); any order gives the
-        same lengths.
+        The holonomy of a reduced word is the same left fold from the
+        identity as `_mp_holonomy`, so every length is bit-identical to a
+        word-by-word evaluation of the reduced word.  A stack holds the
+        products of the previous word's proper prefixes; a word reuses
+        those of its common prefix with it, forms one product per further
+        letter but the last, and takes only the trace of its last product.
+        Words that share prefixes should come in a row (enumeration order
+        does this); any order gives the same lengths.
         """
         from . import curves  # curves imports this module
 
@@ -423,6 +425,11 @@ class MarkedSurface:
             for word in words:
                 if isinstance(word, str):
                     word = parse_word(word)
+                word = curves.cyclic_reduce(word)
+                if not word:
+                    out.append(SurfaceError(
+                        "not a closed geodesic class: image is parabolic"))
+                    continue
                 k = 0
                 top = min(len(word), len(stack)) - 1
                 while k < top and word[k] == prev[k]:
@@ -432,17 +439,11 @@ class MarkedSurface:
                     stack.append(_mul(stack[-1], letters[v]))
                 prev = word
                 m = stack[-1]
-                g = letters[word[-1]] if word else _MP_ID
+                g = letters[word[-1]]
                 # the diagonal of _mul(m, g), summed as _mul rounds it
                 t = abs((m[0] * g[0] + m[1] * g[2])
                         + (m[2] * g[1] + m[3] * g[3]))
-                # only even words can reduce to the identity, and a word
-                # reduces freely to () exactly when it reduces cyclically
-                # to ()
-                if not len(word) % 2 and not curves.cyclic_reduce(word):
-                    out.append(SurfaceError(
-                        "not a closed geodesic class: image is parabolic"))
-                elif t <= 2:
+                if t <= 2:
                     kind = "parabolic" if abs(t - 2) < 1e-40 else "elliptic"
                     out.append(SurfaceError(
                         "not a closed geodesic class: image is %s" % kind))

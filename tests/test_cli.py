@@ -259,10 +259,23 @@ def test_default_word_lengths_run(tmp_path, capsys):
     assert "classes 390 " in out
 
 
+@pytest.mark.parametrize("word, rotation", [("c", "1 0 0"),
+                                             ("cd", "1 0 1")])
+def test_pinched_rotation_matches_thick_reference(capsys, word, rotation):
+    # the frame's float generators are roundings of the 80-digit chart, so
+    # they keep their bottom rows on these cuffs and the search runs
+    for lengths in (["0.7", "0.8", "0.9"], ["1e-4", "2e-5", "5e-5"]):
+        code, out, err = run(["rotation", "--lengths", *lengths,
+                              "--word", word], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["r_%d %s" % (k, r) for k, r in
+                                        enumerate(rotation.split(), start=1)]
+
+
 def test_pinched_underflow_names_thicker_surface(capsys):
-    # on these cuffs a conjugated generator's float bottom row is (0, 0)
+    # on these cuffs a product in the beam for aBcB rounds a row to (0, 0)
     code, out, err = run(["rotation", "--lengths", "1e-4", "2e-5", "5e-5",
-                          "--word", "c"], capsys)
+                          "--word", "aBcB"], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: float lift search underflowed on this "

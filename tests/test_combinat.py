@@ -89,12 +89,10 @@ def test_orders_are_permutations(thick):
 
 
 def isometry_gens(frame):
-    """The frame's conjugated generators as hyp2.IsometryMatrix products."""
-    gens = {}
-    for i, g in enumerate(frame.marked.generators, start=1):
-        gens[i] = frame.from_axis @ g @ frame.to_axis
-        gens[-i] = frame.from_axis @ g.inverse() @ frame.to_axis
-    return gens
+    """The frame's conjugated generators as hyp2.IsometryMatrix objects."""
+    return {letter: hyp2.IsometryMatrix(*entries, _chain=chain,
+                                        _normalize=False)
+            for letter, (entries, chain) in frame.gens.items()}
 
 
 def full_ball_census(marked, gamma, depth):
@@ -579,6 +577,32 @@ def test_mp_fixed_points_match_float_axes(reference):
                     assert float(mp_end) == pytest.approx(end.value,
                                                           rel=1e-10,
                                                           abs=1e-300)
+
+
+def mp_links(line1, line2):
+    """Whether two chords (rep, att) of extended reals link, at 80 digits.
+
+    None is infinity; angles 2 atan(x) in (-pi, pi] keep the circle order.
+    """
+    def angle(x):
+        return mpmath.pi if x is None else 2 * mpmath.atan(x)
+
+    lo, hi = sorted(angle(x) for x in line1)
+    return sum(lo < angle(x) < hi for x in line2) == 1
+
+
+@pytest.mark.parametrize("lengths", [[0.7, 0.8, 0.9], [1e-6, 5e-5, 1e-5]])
+def test_pants_axes_cross_seam_axes_at_base(lengths):
+    # seam s of the base hexagon meets pants curves s+1 and s+2 at right
+    # angles, so the lift census starts from the base axis of each pants
+    # curve p != s and needs no conjugating word
+    marked = make_surface(lengths)
+    with mpmath.workdps(surface._DPS):
+        ends = {w: hyp2.fixed_points(*marked._mp_holonomy(w), mpmath.sqrt)
+                for w in marked.curve_words + marked.seam_words}
+        for s_idx, seam in enumerate(marked.seam_words, start=1):
+            for p_idx, pants in enumerate(marked.curve_words, start=1):
+                assert mp_links(ends[pants], ends[seam]) == (p_idx != s_idx)
 
 
 def test_mp_fixed_points_upper_triangular():

@@ -212,8 +212,8 @@ def test_relator_word_maps_to_identity():
 def test_generators_hyperbolic():
     s = builtin_surface([0.6, 0.8, 1.1], [0.2, 0.1, -0.3])
     assert s.generator_names == ["a", "b", "c", "d"]
-    for g in s.generators:
-        assert hyp2.translation_length(g).kind == "hyperbolic"
+    for letter in s.generator_names:
+        assert hyp2.translation_length(s.holonomy(letter)).kind == "hyperbolic"
 
 
 def test_random_fn_points_consistency():
@@ -231,8 +231,8 @@ def test_random_fn_points_consistency():
 def test_build_is_deterministic():
     s1 = builtin_surface([1.2, 1.6, 2.2], [0.3, -0.7, 1.1])
     s2 = builtin_surface([1.2, 1.6, 2.2], [0.3, -0.7, 1.1])
-    for g1, g2 in zip(s1.generators, s2.generators):
-        assert g1.entries() == g2.entries()
+    for letter in s1.generator_names:
+        assert s1.holonomy(letter).entries() == s2.holonomy(letter).entries()
 
 
 def test_length_continuity_smoke():
@@ -278,8 +278,10 @@ def batch_surfaces():
 
 
 def _reference_length(s, word):
-    """2 acosh(|tr|/2) of the word-by-word fold, or the expected message."""
-    if not curves.cyclic_reduce(curves._as_word(word)):
+    """2 acosh(|tr|/2) of the word-by-word fold of the cyclically reduced
+    word, or the expected message."""
+    word = curves.cyclic_reduce(curves._as_word(word))
+    if not word:
         # the identity, whatever the rounded trace of the fold
         return "not a closed geodesic class: image is parabolic"
     with mpmath.workdps(surface._DPS):
@@ -343,6 +345,17 @@ def test_curve_lengths_report_what_curve_length_raises(batch_surfaces):
             else:
                 assert s.curve_length(w) == g
         assert errors == 4
+
+
+def test_conjugates_keep_the_length_of_their_class(batch_surfaces):
+    # a conjugate is folded as its cyclic reduction, so conjugating a short
+    # curve by a long word on a pinched surface cannot cost it its digits
+    pinched = batch_surfaces[1]
+    assert pinched.curve_length("cdCDadcDC") == pinched.curve_length("a")
+    for s in batch_surfaces:
+        for word, conj in (("a", "cdCDadcDC"), ("cd", "bAcdaB"),
+                           ("aB", "DCaBcd"), ("abc", "dabBbcD")):
+            assert s.curve_lengths([conj, word]) == [s.curve_length(word)] * 2
 
 
 def test_parse_and_format_word():
