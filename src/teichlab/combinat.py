@@ -39,6 +39,10 @@ _UNDERFLOW_MESSAGE = (
     "float lift search underflowed on this pinched surface: a matrix row "
     "rounded to zero; rotation numbers do not depend on the untwisted "
     "surface, so use a thicker one (e.g. lengths 0.7 0.8 0.9)")
+_THIN_MESSAGE = (
+    "pants curve too short for the float disjointness check: its trace is "
+    "within the parabolic band; rotation numbers do not depend on the "
+    "untwisted surface, so use a thicker one (e.g. lengths 0.7 0.8 0.9)")
 _SEAM_LETTERS = "xyz"
 
 
@@ -67,8 +71,15 @@ class HexagonSystem:
             raise CombinatError("hexagon system needs the builtin genus-2 marking")
         self.pants_words = list(marked.curve_words)
         self.seam_words = list(marked.seam_words)
-        # pants curves are disjoint: their base axes never link
-        axes = [hyp2.axis_endpoints(marked.holonomy(w)) for w in self.pants_words]
+        # pants curves are disjoint: their base axes never link.  The float
+        # test cannot place an axis once a cuff's trace excess falls inside
+        # the parabolic band (a cuff below about 2e-5), and it is the check
+        # that keeps the search from returning wrong maps there
+        try:
+            axes = [hyp2.axis_endpoints(marked.holonomy(w))
+                    for w in self.pants_words]
+        except hyp2.Hyp2Error:
+            raise CombinatError(_THIN_MESSAGE) from None
         for i in range(3):
             for j in range(i + 1, 3):
                 if hyp2.geodesics_link(axes[i], axes[j]):
@@ -139,10 +150,13 @@ def _links_centered(a, b):
 
     Scaling both chords is an isometry of the frame, and without it the
     boundary angles of far-flung endpoints saturate at half a turn on
-    pinched surfaces.
+    pinched surfaces.  Endpoints that still coincide in float are a tie.
     """
     delta = -0.5 * (a.s + b.s)
-    return _links(a.shifted(delta), b.shifted(delta))
+    try:
+        return _links(a.shifted(delta), b.shifted(delta))
+    except hyp2.Hyp2Error:
+        raise CombinatError(_TIE_MESSAGE) from None
 
 
 def _disagrees(a, b):
@@ -175,19 +189,16 @@ def _linking_shifts(base, probe, period):
     return out
 
 
-def _cyclic_ccw3(a, b, c):
-    two_pi = 2.0 * math.pi
-    return ((b - a) % two_pi) < ((c - a) % two_pi)
+def _cyclic_order(start, *points):
+    """Whether `points` follow `start` in this order, strictly, on R u {inf}.
 
-
-def _cyclic_ccw4(a, b, c, d):
-    two_pi = 2.0 * math.pi
-    rb, rc, rd = (b - a) % two_pi, (c - a) % two_pi, (d - a) % two_pi
-    return rb < rc < rd
-
-
-def _angle(x):
-    return BoundaryPoint(x).angle()
+    The boundary is walked once from `start` in the increasing direction,
+    through infinity (math.inf) and back up from minus infinity.  A point
+    equal to `start` comes first.  Frame reals are compared as they are,
+    so distinct endpoints never round together.
+    """
+    keys = [(0 if x == start else 1 if x > start else 2, x) for x in points]
+    return all(k < l for k, l in zip(keys, keys[1:]))
 
 
 # --- the lift search -----------------------------------------------------------
@@ -211,31 +222,32 @@ def _mobius(m, val):
 class _Frame:
     """The studied geodesic's axis chart and everything expressed in it.
 
-    The chart is built once at 80 digits: `_mp_from_axis` maps the axis of
-    the word's holonomy to the imaginary axis, attracting endpoint at
-    infinity, and `_mp_spec_ends` holds the fixed points (rep, att) of each
-    hexagon-system curve.  The float data the beam reads are roundings of
-    it.  `gens` maps each signed generator letter to a pair: the entry tuple
-    (a, b, c, d) of its conjugate in the chart, rounded by
-    `surface._to_float_matrix`, and the composition count 0, which
-    `_beam_buckets` carries on by the renormalization rule of
-    `hyp2.IsometryMatrix`.  `curve_specs` holds the base axis of each curve
-    as (idx, family, rep, att) in frame reals, None for infinity, in the
-    order P1..P3, H1..H3.
+    The chart is built once at 80 digits from the word's holonomy:
+    `_mp_from_axis` maps its axis to the imaginary axis, attracting
+    endpoint at infinity, and `period` and the hyperbolicity check read
+    the float rounding of that same holonomy (`surface._to_float_matrix`).
+    The 80-digit holonomy of every hexagon-system curve is built once
+    here too: `_mp_spec_ends` holds the fixed points (rep, att) of each
+    curve and `_mp_seam` the seam matrices that `lines_through` steps by.
+    The float data the beam reads are roundings of the chart.  `gens` maps
+    each signed generator letter to the entry tuple (a, b, c, d) of its
+    conjugate in the chart, rounded by `surface._to_float_matrix`.
+    `curve_specs` holds the base axis of each curve as (idx, family, rep,
+    att) in frame reals, None for infinity, in the order P1..P3, H1..H3.
     """
 
     def __init__(self, marked, word):
         self.marked = marked
         self.word = word
-        tl = hyp2.translation_length(marked.holonomy(word))
-        if tl.kind != "hyperbolic":
-            raise CombinatError("class is not a closed geodesic: image is %s"
-                                % tl.kind)
-        self.period = tl.length
-        self.system = HexagonSystem(marked)
         with mpmath.workdps(surface._DPS):
-            rep, att = hyp2.fixed_points(*marked._mp_holonomy(word),
-                                         mpmath.sqrt)
+            holonomy = marked._mp_holonomy(word)
+            tl = hyp2.translation_length(surface._to_float_matrix(holonomy))
+            if tl.kind != "hyperbolic":
+                raise CombinatError("class is not a closed geodesic: image "
+                                    "is %s" % tl.kind)
+            self.period = tl.length
+            self.system = HexagonSystem(marked)
+            rep, att = hyp2.fixed_points(*holonomy, mpmath.sqrt)
             if rep is None or att is None:
                 if att is None:
                     frame = (mpmath.mpf(1), rep, mpmath.mpf(0), mpmath.mpf(1))
@@ -248,16 +260,19 @@ class _Frame:
             from_axis = surface._inv(frame)
             self._mp_from_axis = from_axis
             self.gens = {
-                letter: (surface._to_float_matrix(surface._mul(
-                    surface._mul(from_axis, g), frame)).entries(), 0)
+                letter: surface._to_float_matrix(surface._mul(
+                    surface._mul(from_axis, g), frame)).entries()
                 for letter, g in marked._mp_letters.items()}
+            self._mp_seam = {}
             self._mp_spec_ends = {}
             self.curve_specs = []
             for family, words in (("P", marked.curve_words),
                                   ("H", marked.seam_words)):
                 for idx, w in enumerate(words, start=1):
-                    ends = hyp2.fixed_points(*marked._mp_holonomy(w),
-                                             mpmath.sqrt)
+                    curve = marked._mp_holonomy(w)
+                    if family == "H":
+                        self._mp_seam[idx] = curve
+                    ends = hyp2.fixed_points(*curve, mpmath.sqrt)
                     self._mp_spec_ends[(idx, family)] = ends
                     rep, att = (None if v is None else float(v) for v in (
                         _mobius(from_axis, e) for e in ends))
@@ -318,6 +333,57 @@ class _Frame:
             return None
         return _Lift(spec[0], spec[1], att, rep)
 
+    def lines_through(self, h, p_idx, center=0.0, misses_cap=12, m_cap=200):
+        """Frame lines of pants-curve lifts crossing the seam lift h.
+
+        In the base hexagon, seam s meets pants curves s+1 and s+2 at right
+        angles, so the base axis of each pants curve p != s crosses the
+        base axis of seam s.  The census carries the base axis of p by h's
+        path followed by the powers of the seam holonomy in both
+        directions.  The endpoints of those products degrade in float64
+        long before the crossing window is exhausted on pinched surfaces,
+        so the census runs at 80 digits from the chart.  Endpoints come out
+        recentered by the axis flow at `center` so the caller can compare
+        them with other similarly recentered chords.
+        """
+        if p_idx == h.curve:
+            return []
+        scale = math.exp(h.shift - center)
+        h_line = h.shifted(-center).line()
+        out = []
+        with mpmath.workdps(surface._DPS):
+            base = self.mp_carry(h.path)
+            nu = self._mp_seam[h.curve]
+            nu_inv = surface._inv(nu)
+            rep_b, att_b = self._mp_spec_ends[(p_idx, "P")]
+            for direction in (1, -1):
+                cur = base if direction == 1 else surface._mul(base, nu_inv)
+                step = nu if direction == 1 else nu_inv
+                misses, steps = 0, 0
+                while misses < misses_cap and steps <= m_cap:
+                    hit = False
+                    rep = _mobius(cur, rep_b)
+                    att = _mobius(cur, att_b)
+                    if rep is not None and att is not None and rep != att:
+                        rep_f = float(rep) * scale
+                        att_f = float(att) * scale
+                        if math.isfinite(rep_f) and math.isfinite(att_f) \
+                                and rep_f != att_f:
+                            try:
+                                line = GeodesicLine(BoundaryPoint(rep_f),
+                                                    BoundaryPoint(att_f))
+                                hit = hyp2.geodesics_link(line, h_line)
+                            except hyp2.Hyp2Error:
+                                hit = False
+                    if hit:
+                        out.append(line)
+                        misses = 0
+                    else:
+                        misses += 1
+                    cur = surface._mul(cur, step)
+                    steps += 1
+        return out
+
 
 _COARSE_KEY_TOL = 1e-4
 
@@ -329,20 +395,17 @@ def _beam_buckets(frame, depth, beam_width):
     bucket per reference curve holds entries (k1, k2, path): the keys of
     a lift shifted into the first period, and the generator word that
     carried the base axis.  A lift joins its bucket unless both keys agree
-    within _COARSE_KEY_TOL with an entry already there.  Nodes are entry
-    tuples with the composition count of `hyp2.IsometryMatrix`: a child
-    takes the eight multiplies of `IsometryMatrix.__matmul__` in the same
-    order and is renormalized by `IsometryMatrix` once the count passes
-    `constants.RENORM_CHAIN`, so every float matches a search over
-    `IsometryMatrix` products.  Each level keeps the `beam_width` children
-    of lowest score, in a stable sort.
+    within _COARSE_KEY_TOL with an entry already there.  A node is (entry
+    tuple, last letter, path); a child takes the eight multiplies of
+    `hyp2.IsometryMatrix.__matmul__` in the same order, so every float
+    matches a search over `IsometryMatrix` products.  Each level keeps the
+    `beam_width` children of lowest score, in a stable sort.
     """
     period = frame.period
     below, above = -0.5 * period, 1.5 * period
-    renorm = constants.RENORM_CHAIN
     specs = frame.curve_specs
     lift_of = frame.lift_of
-    gens = [(letter, g, chain) for letter, (g, chain) in frame.gens.items()]
+    gens = list(frame.gens.items())
     buckets = {}
 
     def record(lift, path):
@@ -360,26 +423,21 @@ def _beam_buckets(frame, depth, beam_width):
         lift = lift_of(identity, spec)
         if lift is not None:
             record(lift, ())
-    level = [(identity, 0, 0, ())]
+    level = [(identity, 0, ())]
     seen = {identity}  # the identity is its own node key
     at_depth = None
     for done in range(depth + _STABILITY_STEP):
         if done == depth:
             at_depth = {k: list(v) for k, v in buckets.items()}
         children = []
-        for (a, b, c, d), chain, last, path in level:
-            for letter, (ga, gb, gc, gd), gchain in gens:
+        for (a, b, c, d), last, path in level:
+            for letter, (ga, gb, gc, gd) in gens:
                 if letter == -last:
                     continue
                 na = a * ga + b * gc
                 nb = a * gb + b * gd
                 nc = c * ga + d * gc
                 nd = c * gb + d * gd
-                nchain = max(chain, gchain) + 1
-                if nchain > renorm:
-                    na, nb, nc, nd = hyp2.IsometryMatrix(
-                        na, nb, nc, nd).entries()
-                    nchain = 0
                 # node key: the entries up to sign and scale, to 9 places
                 scale = max(abs(na), abs(nb), abs(nc), abs(nd))
                 if scale == 0.0:
@@ -410,10 +468,10 @@ def _beam_buckets(frame, depth, beam_width):
                 s = math.log(top) - math.log(bottom)
                 score = (math.asinh(abs(na * nc + nb * nd))
                          + max(0.0, below - s, s - above))
-                children.append((score, m, nchain, letter, path))
+                children.append((score, m, letter, path))
         children.sort(key=lambda t: t[0])
-        level = [(m, chain, letter, path + (letter,))
-                 for _, m, chain, letter, path in children[:beam_width]]
+        level = [(m, letter, path + (letter,))
+                 for _, m, letter, path in children[:beam_width]]
         if not level:
             break
     if at_depth is None:
@@ -501,13 +559,6 @@ class IntersectionSequence:
     def intersection_number(self):
         return len(self.p_entries)
 
-    def order(self, which):
-        """Entry indices sorted by one boundary order within the period."""
-        key = (lambda e: e.key1) if which == 1 else (lambda e: e.key2)
-        idx = sorted(range(len(self.entries)),
-                     key=lambda i: key(self.entries[i]))
-        return tuple(idx)
-
 
 def _sequences_match(a, b):
     if len(a) != len(b):
@@ -568,72 +619,6 @@ class RotationData:
         return self.sequence.intersection_number
 
 
-class _Counter:
-    """Enumerates lifts of a pants curve crossing a given seam lift.
-
-    In the base hexagon, seam s meets pants curves s+1 and s+2 at right
-    angles, so the base axis of each pants curve p != s crosses the base
-    axis of seam s, and the census carries the base axis of p by h's path
-    followed by the powers of the seam holonomy in both directions.  The
-    endpoints of those products degrade in float64 long before the
-    crossing window is exhausted on pinched surfaces, so the census runs
-    in extended precision from the frame's 80-digit chart.
-    """
-
-    def __init__(self, seq):
-        frame = seq._frame
-        self.frame = frame
-        marked = frame.marked
-        with mpmath.workdps(surface._DPS):
-            self._mp_seam = {
-                idx: marked._mp_holonomy(marked.seam_words[idx - 1])
-                for idx in (1, 2, 3)}
-
-    def lines_through(self, h, p_idx, center=0.0, misses_cap=12, m_cap=200):
-        """Frame lines of pants-curve lifts crossing the seam lift h.
-
-        Endpoints come out recentered by the axis flow at `center` so the
-        caller can compare them with other similarly recentered chords.
-        """
-        if p_idx == h.curve:
-            return []
-        scale = math.exp(h.shift - center)
-        h_line = h.shifted(-center).line()
-        out = []
-        with mpmath.workdps(surface._DPS):
-            base = self.frame.mp_carry(h.path)
-            nu = self._mp_seam[h.curve]
-            nu_inv = surface._inv(nu)
-            rep_b, att_b = self.frame._mp_spec_ends[(p_idx, "P")]
-            for direction in (1, -1):
-                cur = base if direction == 1 else surface._mul(base, nu_inv)
-                step = nu if direction == 1 else nu_inv
-                misses, steps = 0, 0
-                while misses < misses_cap and steps <= m_cap:
-                    hit = False
-                    rep = _mobius(cur, rep_b)
-                    att = _mobius(cur, att_b)
-                    if rep is not None and att is not None and rep != att:
-                        rep_f = float(rep) * scale
-                        att_f = float(att) * scale
-                        if math.isfinite(rep_f) and math.isfinite(att_f) \
-                                and rep_f != att_f:
-                            try:
-                                line = GeodesicLine(BoundaryPoint(rep_f),
-                                                    BoundaryPoint(att_f))
-                                hit = hyp2.geodesics_link(line, h_line)
-                            except hyp2.Hyp2Error:
-                                hit = False
-                    if hit:
-                        out.append(line)
-                        misses = 0
-                    else:
-                        misses += 1
-                    cur = surface._mul(cur, step)
-                    steps += 1
-        return out
-
-
 def classify_and_rotate(seq):
     """Crossing/internal tags, per-crossing rotations, and pair counting."""
     h_entries = seq.h_entries
@@ -668,19 +653,16 @@ def classify_and_rotate(seq):
             for j in _linking_shifts(c, h, period):
                 count += 1
                 crossing_lifts.append(h.shifted(j * period))
-        # recenter at the crossing before taking boundary angles: 0 and
-        # infinity are fixed by the flow, so cyclic orders are preserved
-        cc = c.shifted(-c.s)
-        upward = _cyclic_ccw4(_angle(cc.att), math.pi, _angle(cc.rep), 0.0)
+        # orientations as cyclic orders of frame reals: the lift runs up
+        # the boundary when its attracting end is the positive one
+        upward = c.att > 0
         sign = 0
         if count:
             orientations = set()
             for h in crossing_lifts:
-                hh = h.shifted(-c.s)
-                h_up = _cyclic_ccw4(_angle(cc.att), _angle(hh.att),
-                                    _angle(cc.rep), _angle(hh.rep))
-                a_h = _angle(hh.att) if h_up else _angle(hh.rep)
-                orientations.add(_cyclic_ccw3(_angle(cc.att), math.pi, a_h))
+                h_up = _cyclic_order(c.att, h.att, c.rep, h.rep)
+                end = h.att if h_up else h.rep
+                orientations.add(_cyclic_order(c.att, math.inf, end))
             if len(orientations) != 1:
                 raise CombinatError(
                     "inconsistent seam orientations at a crossing")
@@ -710,7 +692,7 @@ def classify_and_rotate(seq):
             gap_of[id(h)] = 0
 
     # consecutive seam pairs: exact lift counting against the counting rules
-    counter = _Counter(seq)
+    frame = seq._frame
     exact = {1: 0, 2: 0, 3: 0}
     rules = {1: 0, 2: 0, 3: 0}
     leftover = 0
@@ -740,7 +722,7 @@ def classify_and_rotate(seq):
                         hit = True
                         break
             if not hit:
-                for line in counter.lines_through(h1, k, center=center):
+                for line in frame.lines_through(h1, k, center=center):
                     try:
                         if hyp2.geodesics_link(line, h2c.line()):
                             hit = True

@@ -1,15 +1,18 @@
 """Shared numeric tolerances and empirically calibrated constants.
 
-Every number here that is not a plain floating-point tolerance was measured
-on a calibration grid; the comment next to it records how.  Keeping them in
-one place makes each choice auditable.
+The generic tolerances classify float isometries and compare boundary
+points; float products are never renormalized, so no composition count is
+kept here.  The lift search's beam width and key tolerances sit in
+`combinat`, next to the loop that reads them.  Every number here that is
+not a plain floating-point tolerance was measured on a calibration grid;
+the comment next to it records how.  Keeping them in one place makes each
+choice auditable.
 """
 
 # --- generic tolerances -----------------------------------------------------
 
 PARABOLIC_BAND = 1e-10    # |tr| within this of 2 is classified parabolic
 SIGN_TRACE_CUTOFF = 1e-9  # |tr| above this: canonical sign forces tr >= 0
-RENORM_CHAIN = 16         # compositions between det renormalizations
 ENDPOINT_TIE_TOL = 1e-12  # boundary-point comparisons closer than this: error
 
 # default / strict tolerance profiles for the CLI

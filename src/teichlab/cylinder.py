@@ -328,24 +328,17 @@ def cusp_rotation_check(n_samples, seed=0):
 
     In the cusp (delta* = 1, core at infinity) the basic rotation of a
     segment is the horizontal displacement of its horocyclic projection.
-    Segments are arcs of semicircles kept below height 1; the tangent
-    semicircle of radius 1 realizes the sharp value 2 and is included as a
-    structured sample.
+    Segments are arcs of semicircles kept below height 1, each measured by
+    `segment_rotation`; the tangent semicircle of radius 1 realizes the
+    sharp value 2 and is included as a structured sample.
     """
     rng = random.Random(seed)
-    best = 0.0
+    # tangency realizes the extremal rotation
+    best = segment_rotation(1.0)
     for _ in range(n_samples):
         rho = rng.uniform(0.0, 1.2)
-        if rho <= 0:
-            continue
-        if rho <= 1.0:
-            rotation = 2.0 * rho
-        else:
-            # only the side arcs below height 1 stay in the region
-            rotation = rho - math.sqrt(rho * rho - 1.0)
-        best = max(best, rotation)
-    # tangency realizes the extremal rotation
-    best = max(best, 2.0)
+        if rho > 0:
+            best = max(best, segment_rotation(rho))
     return best
 
 

@@ -17,14 +17,15 @@ class Hyp2Error(ValueError):
 class IsometryMatrix:
     """Element of PSL(2, R), stored as a normalized SL(2, R) matrix.
 
-    Immutable.  Determinant drift is corrected lazily: a chain counter
-    tracks how many compositions occurred since the last renormalization,
-    and composition renormalizes once the chain exceeds a threshold.
+    Immutable.  The constructor scales to unit determinant and applies the
+    canonical sign; products and inverses keep their float entries as
+    computed, so the determinant drifts only by rounding (a few ulps per
+    product), and `normalized` restores it.
     """
 
-    __slots__ = ("m11", "m12", "m21", "m22", "_chain")
+    __slots__ = ("m11", "m12", "m21", "m22")
 
-    def __init__(self, m11, m12, m21, m22, _chain=0, _normalize=True):
+    def __init__(self, m11, m12, m21, m22, _normalize=True):
         if _normalize:
             det = m11 * m22 - m12 * m21
             if det <= 0:
@@ -38,12 +39,10 @@ class IsometryMatrix:
                 flip = m11 < 0
             if flip:
                 m11, m12, m21, m22 = -m11, -m12, -m21, -m22
-            _chain = 0
         object.__setattr__(self, "m11", float(m11))
         object.__setattr__(self, "m12", float(m12))
         object.__setattr__(self, "m21", float(m21))
         object.__setattr__(self, "m22", float(m22))
-        object.__setattr__(self, "_chain", _chain)
 
     def __setattr__(self, *a):
         raise AttributeError("IsometryMatrix is immutable")
@@ -68,14 +67,11 @@ class IsometryMatrix:
         b = self.m11 * other.m12 + self.m12 * other.m22
         c = self.m21 * other.m11 + self.m22 * other.m21
         d = self.m21 * other.m12 + self.m22 * other.m22
-        chain = max(self._chain, other._chain) + 1
-        if chain > constants.RENORM_CHAIN:
-            return IsometryMatrix(a, b, c, d)
-        return IsometryMatrix(a, b, c, d, _chain=chain, _normalize=False)
+        return IsometryMatrix(a, b, c, d, _normalize=False)
 
     def inverse(self):
         return IsometryMatrix(self.m22, -self.m12, -self.m21, self.m11,
-                              _chain=self._chain, _normalize=False)
+                              _normalize=False)
 
     def __pow__(self, n):
         if n < 0:

@@ -5,7 +5,7 @@ import shlex
 
 import pytest
 
-from teichlab import cli
+from teichlab import cli, cylinder
 
 
 def run(argv, capsys):
@@ -292,6 +292,61 @@ def test_pinched_order_tie_names_thicker_surface(capsys):
     assert out == ""
     assert err.startswith("error: boundary order tie: ")
     assert "use a thicker one" in err
+
+
+@pytest.mark.parametrize("word, rotation, pinched", [
+    ("bCD", "1 1 1", "0.00146 5.47e-05 0.001"),
+    ("addC", "1 1 1", "0.00146 5.47e-05 0.001"),
+    ("aCCB", "3 1 0", "0.00146 5.47e-05 0.001"),
+    ("addb", "1 1 2", "0.00146 5.47e-05 0.001"),
+    ("addb", "1 1 2", "0.00151 0.000248 0.000307")])
+def test_far_endpoints_keep_their_cyclic_order(capsys, word, rotation,
+                                               pinched):
+    # on these cuffs distinct lift endpoints far out on the boundary round
+    # to one angle 2 atan(x); the crossing orientations compare the frame
+    # reals themselves, so the pinched maps match the thick reference's
+    for lengths in (["0.7", "0.8", "0.9"], pinched.split()):
+        code, out, err = run(["rotation", "--lengths", *lengths,
+                              "--word", word], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["r_%d %s" % (k, r) for k, r in
+                                        enumerate(rotation.split(), start=1)]
+
+
+def test_linking_tie_names_thicker_surface(capsys):
+    # a shifted pants chord of cccd on these cuffs has float endpoints
+    # that coincide, so the census cannot test it for linking
+    code, out, err = run(["rotation", "--lengths", "3.57e-05", "6.05e-05",
+                          "2.65e-05", "--word", "cccd"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: boundary order tie: ")
+    assert "use a thicker one" in err
+
+
+def test_thin_cuff_gate_names_thicker_surface(capsys):
+    # the float disjointness check of the pants curves cannot place the
+    # axis of a 1e-6 cuff; it still refuses, since without it the search
+    # returns wrong maps on such surfaces
+    code, out, err = run(["rotation", "--lengths", "1e-6", "5e-5", "1e-5",
+                          "--word", "c"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: pants curve too short for the float "
+                          "disjointness check")
+    assert "use a thicker one" in err
+
+
+def test_cusp_check_can_fail(monkeypatch, capsys):
+    # criterion 6 measures every sample and the tangent semicircle through
+    # segment_rotation, so a rotation above the bound must fail it
+    monkeypatch.setattr(cylinder, "segment_rotation",
+                        lambda rho, y_cut=1.0: 3.0)
+    assert cylinder.cusp_rotation_check(200, seed=1) == 3.0
+    code, out, _ = run(["cylinder", "cusp", "--samples", "200",
+                        "--seed", "1"], capsys)
+    assert code == 1
+    assert "max_rotation 3 bound 2.5" in out
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(

@@ -4,7 +4,7 @@ import random
 import mpmath
 import pytest
 
-from teichlab import combinat, constants, curves, hyp2, surface
+from teichlab import combinat, curves, hyp2, surface
 from teichlab.combinat import (
     CombinatError, HexagonSystem, classify_and_rotate, combinatorial_rotation,
     distortion_check, distortion_csv_rows, intersection_sequence,
@@ -80,19 +80,10 @@ def test_two_pants_crossings(thick):
     assert seq.period_multiplicity == 1
 
 
-def test_orders_are_permutations(thick):
-    seq = intersection_sequence(thick, "cd", search_depth=8)
-    n = len(seq.entries)
-    for which in (1, 2):
-        order = seq.order(which)
-        assert sorted(order) == list(range(n))
-
-
 def isometry_gens(frame):
     """The frame's conjugated generators as hyp2.IsometryMatrix objects."""
-    return {letter: hyp2.IsometryMatrix(*entries, _chain=chain,
-                                        _normalize=False)
-            for letter, (entries, chain) in frame.gens.items()}
+    return {letter: hyp2.IsometryMatrix(*entries, _normalize=False)
+            for letter, entries in frame.gens.items()}
 
 
 def full_ball_census(marked, gamma, depth):
@@ -312,15 +303,9 @@ def beam_outcome(search, frame):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("renorm_chain", [None, 3])
-def test_beam_matches_isometry_matrix_beam(renorm_chain, monkeypatch):
+def test_beam_matches_isometry_matrix_beam():
     # the entry-tuple beam must find the buckets of the IsometryMatrix
-    # search bit for bit, at depth 6 with a beam that cuts from level 3 on.
-    # With RENORM_CHAIN at 3 most products renormalize; on the pinched
-    # surface some of those lose their determinant, and then both searches
-    # must raise the same error
-    if renorm_chain is not None:
-        monkeypatch.setattr(constants, "RENORM_CHAIN", renorm_chain)
+    # search bit for bit, at depth 6 with a beam that cuts from level 3 on
     for lengths in ([0.7, 0.8, 0.9], CRITERION_7_LENGTHS[0]):
         marked = make_surface(lengths)
         for gamma in ("c", "cd", "aB", "aaac"):
@@ -541,11 +526,35 @@ def test_linking_shifts_match_direct_tests(thick):
             def links(j):
                 try:
                     return combinat._links_centered(h, p.shifted(j * period))
-                except hyp2.Hyp2Error:
+                except CombinatError:
                     # far translates collapse to a point chord: not linking
                     return False
 
             assert window == [j for j in range(-8, 9) if links(j)]
+
+
+def angle_order(start, *points):
+    """The cyclic order through boundary angles x -> 2 atan x, inf -> pi."""
+    def angle(x):
+        return math.pi if x == math.inf else 2.0 * math.atan(x)
+    rel = [(angle(x) - angle(start)) % (2.0 * math.pi) for x in points]
+    return all(r < s for r, s in zip(rel, rel[1:]))
+
+
+def test_cyclic_order_matches_angle_formula():
+    rng = random.Random(17)
+    pool = [math.inf, 0.0, 1.0, -1.0, 0.5, -3.0]
+    found = set()
+    for _ in range(4000):
+        pts = [rng.choice(pool) if rng.random() < 0.3
+               else rng.uniform(-40.0, 40.0) for _ in range(rng.choice((3, 4)))]
+        want = angle_order(*pts)
+        assert combinat._cyclic_order(*pts) == want, pts
+        found.add((len(pts), want))
+    assert found == {(3, True), (3, False), (4, True), (4, False)}
+    # far out the angles round together, the reals do not
+    assert combinat._cyclic_order(1e17, 2e17, math.inf, -2e17)
+    assert not angle_order(1e17, 2e17, math.inf, -2e17)
 
 
 def test_primitive_root_multiplicity(thick):

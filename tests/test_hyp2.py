@@ -63,6 +63,8 @@ def test_determinant_normalized():
 
 
 def test_long_chains_renormalize():
+    # products are not renormalized: over 400 compositions the determinant
+    # may drift only by rounding
     rng = random.Random(3)
     m = IsometryMatrix.identity()
     g = random_isometry(rng)

@@ -10,7 +10,9 @@ pair: 240 searches plus one per class on the reference.  Each line gives
 the class, the cuffs and the outcome: `right` (the reference's map),
 `wrong` (another map; the reference's follows) or `error` (the search
 raised; the message follows).  A class whose reference search raises
-marks its searches `noref`.  The last line has the totals.  Compare two trees with `diff`:
+marks its searches `noref`.  The last line has the totals, and after
+them the errors split by defect: each message up to its first colon, with
+its count, most frequent first.  Compare two trees with `diff`:
 
     python3 tools/rotation_sweep.py --src /path/to/old/src > old.txt
     python3 tools/rotation_sweep.py > new.txt
@@ -67,6 +69,7 @@ def main(argv=None):
 
     expected = {w: rotation_map(combinat, reference, w) for w in words}
     totals = {"right": 0, "wrong": 0, "error": 0, "noref": 0}
+    defects = {}
     for ls in lengths:
         try:
             marked = surface.build_holonomy(dec, surface.FNCoordinates(ls))
@@ -82,6 +85,9 @@ def main(argv=None):
             else:
                 outcome = "right" if got == expected[w] else "wrong"
             totals[outcome] += 1
+            if outcome == "error":
+                defect = str(got).split(":")[0]
+                defects[defect] = defects.get(defect, 0) + 1
             if isinstance(got, Exception):
                 detail = "%s: %s" % (type(got).__name__, got)
             elif outcome == "wrong":
@@ -91,7 +97,9 @@ def main(argv=None):
             print("%-5s %-22s %-5s %s" % (
                 curves.word_to_text(w), " ".join("%g" % x for x in ls),
                 outcome, detail), flush=True)
-    print(" ".join("%s %d" % item for item in totals.items()))
+    print(" ".join("%s %d" % item for item in totals.items())
+          + "".join("; %d %s" % (n, defect) for defect, n in sorted(
+              defects.items(), key=lambda item: (-item[1], item[0]))))
     return 0
 
 
