@@ -15,7 +15,9 @@ boundary sides are the positive and negative reals, every linking lift has
 one endpoint on each side, and the period acts by scaling.
 """
 
+import bisect
 import math
+import sys
 
 import mpmath
 
@@ -39,11 +41,19 @@ _UNDERFLOW_MESSAGE = (
     "float lift search underflowed on this pinched surface: a matrix row "
     "rounded to zero; rotation numbers do not depend on the untwisted "
     "surface, so use a thicker one (e.g. lengths 0.7 0.8 0.9)")
+_CROSSING_TIE_MESSAGE = (
+    "crossing parameter tie: two lifts of one family cross the axis closer "
+    "than the float search can separate on this pinched surface; rotation "
+    "numbers do not depend on the untwisted surface, so use a thicker one "
+    "(e.g. lengths 0.7 0.8 0.9)")
 _THIN_MESSAGE = (
     "pants curve too short for the float disjointness check: its trace is "
     "within the parabolic band; rotation numbers do not depend on the "
     "untwisted surface, so use a thicker one (e.g. lengths 0.7 0.8 0.9)")
 _SEAM_LETTERS = "xyz"
+_NORMAL_MIN = sys.float_info.min
+_CHORD_MARGIN = 1e-12
+_KEY_BASE = 2 * 10 ** 9 + 1
 
 
 # --- words ---------------------------------------------------------------------
@@ -234,6 +244,10 @@ class _Frame:
     conjugate in the chart, rounded by `surface._to_float_matrix`.
     `curve_specs` holds the base axis of each curve as (idx, family, rep,
     att) in frame reals, None for infinity, in the order P1..P3, H1..H3.
+    The finite endpoints of those axes are sorted once (`_finite_ends`)
+    for the beam's chord test `link_candidates`; the specs with an
+    endpoint at infinity, which that test cannot rule out, are
+    `_infinite_specs`.
     """
 
     def __init__(self, marked, word):
@@ -277,6 +291,10 @@ class _Frame:
                     rep, att = (None if v is None else float(v) for v in (
                         _mobius(from_axis, e) for e in ends))
                     self.curve_specs.append((idx, family, rep, att))
+        self._infinite_specs = [s for s in self.curve_specs
+                                if s[2] is None or s[3] is None]
+        self._finite_ends = sorted(
+            x for s in self.curve_specs if None not in s[2:] for x in s[2:])
 
     def mp_carry(self, path):
         """The 80-digit chart map times the holonomy of the word `path`."""
@@ -333,6 +351,43 @@ class _Frame:
             return None
         return _Lift(spec[0], spec[1], att, rep)
 
+    def link_candidates(self, a, b, c, d):
+        """The curve specs whose lift by (a, b, c, d) `lift_of` must test.
+
+        x -> (ax + b)/(cx + d) is zero at p = -b/a and infinite at q = -d/c,
+        so the image of a real x changes sign exactly where x passes p or
+        q, and a finite base axis links only if exactly one of its
+        endpoints lies between p and q.  When no finite endpoint comes
+        within the margin of [min(p, q), max(p, q)], every finite spec is
+        skipped and only `_infinite_specs` remain.  Otherwise, and when a
+        or c is zero or subnormal or p or q is not finite, all specs do.
+
+        The margin makes a skip safe in float.  For a normal a, fl(a*x) is
+        within 2^-53 |a x| + 2^-1075 of a*x, so fl(fl(a*x) + b) has the sign
+        of a(x - p) once |x - p| > 2^-53 (|x| + 1), and the float -b/a is
+        within 2^-53 |p| + 2^-1075 of p; likewise for c, d and q.  Both
+        endpoints of a skipped spec lie more than 2^-50 (1 + |p| + |q|)
+        outside the float [p, q], so every numerator and denominator gets
+        its exact sign, and an interval that holds both or neither of p and
+        q gives both images one sign.  The factor 1e-12 also covers the
+        roundings of the margin test itself.  An image that overflows or
+        underflows makes `lift_of` return None anyway.  (Rounding is also
+        monotone, which on its own gives these signs; the margin does not
+        rest on that.)
+        """
+        if abs(a) >= _NORMAL_MIN and abs(c) >= _NORMAL_MIN:
+            p = -b / a
+            q = -d / c
+            margin = _CHORD_MARGIN * (1.0 + abs(p) + abs(q))
+            if margin < math.inf:
+                if q < p:
+                    p, q = q, p
+                ends = self._finite_ends
+                i = bisect.bisect_left(ends, p - margin)
+                if i == len(ends) or ends[i] > q + margin:
+                    return self._infinite_specs
+        return self.curve_specs
+
     def lines_through(self, h, p_idx, center=0.0, misses_cap=12, m_cap=200):
         """Frame lines of pants-curve lifts crossing the seam lift h.
 
@@ -388,6 +443,46 @@ class _Frame:
 _COARSE_KEY_TOL = 1e-4
 
 
+def _node_key(a, b, c, d):
+    """The entries up to sign and scale, to 9 places, packed in one int.
+
+    Each entry v is normalized to x = sign * v / scale, with the sign of
+    the first nonzero entry, so |x| <= 1, and enters as the integer n with
+    round(x, 9) == n / 1e9: n = round(x * 1e9), or round(round(x, 9) * 1e9)
+    when x * 1e9 lies within 1e-6 of a half-integer.  Two keys are equal
+    exactly when the tuples of round(x, 9) are.  round(x, 9) is the float
+    nearest N / 10^9, where N is x * 10^9 rounded to an integer.  fl(x *
+    1e9) is within 2^-24 of x * 10^9 (half an ulp below 2^30), so more
+    than 1e-6 from a half-integer both round to N, and nearer to one
+    round(x, 9) * 1e9 is within a few ulps of N.  N -> N / 1e9 is
+    injective on |N| <= 10^9, where floats are spaced far below 1e-9, and
+    the four N are the digits of one number in balanced base 2 * 10^9 + 1,
+    whose digits are unique.  A NaN entry (an overflowed product) gave a
+    tuple equal to no other; its key is a fresh object.
+    """
+    scale = max(abs(a), abs(b), abs(c), abs(d))
+    if scale == 0.0:
+        return 0
+    v = a if a != 0.0 else b if b != 0.0 else c if c != 0.0 else d
+    if not v > 0:
+        scale = -scale  # x / -scale is -x / scale, bit for bit
+    xa, xb, xc, xd = a / scale, b / scale, c / scale, d / scale
+    ya, yb, yc, yd = xa * 1e9, xb * 1e9, xc * 1e9, xd * 1e9
+    try:
+        na, nb, nc, nd = round(ya), round(yb), round(yc), round(yd)
+    except ValueError:
+        return object()
+    if abs(ya - na) > 0.499999:
+        na = round(round(xa, 9) * 1e9)
+    if abs(yb - nb) > 0.499999:
+        nb = round(round(xb, 9) * 1e9)
+    if abs(yc - nc) > 0.499999:
+        nc = round(round(xc, 9) * 1e9)
+    if abs(yd - nd) > 0.499999:
+        nd = round(round(xd, 9) * 1e9)
+    return ((na * _KEY_BASE + nb) * _KEY_BASE + nc) * _KEY_BASE + nd
+
+
 def _beam_buckets(frame, depth, beam_width):
     """Raw buckets of one beam pass, copied after level `depth` and at the end.
 
@@ -398,13 +493,17 @@ def _beam_buckets(frame, depth, beam_width):
     within _COARSE_KEY_TOL with an entry already there.  A node is (entry
     tuple, last letter, path); a child takes the eight multiplies of
     `hyp2.IsometryMatrix.__matmul__` in the same order, so every float
-    matches a search over `IsometryMatrix` products.  Each level keeps the
-    `beam_width` children of lowest score, in a stable sort.
+    matches a search over `IsometryMatrix` products.  A child whose
+    `_node_key` was seen before is dropped, and `lift_of` runs only on the
+    specs that `frame.link_candidates` leaves, which skips no lift.  Each
+    level but the last keeps the `beam_width` children of lowest score, in
+    a stable sort; the last level's children are never expanded, so they
+    are not scored, but a row that rounded to zero still raises.
     """
     period = frame.period
     below, above = -0.5 * period, 1.5 * period
-    specs = frame.curve_specs
     lift_of = frame.lift_of
+    link_candidates = frame.link_candidates
     gens = list(frame.gens.items())
     buckets = {}
 
@@ -419,16 +518,18 @@ def _beam_buckets(frame, depth, beam_width):
         entries.append((k1, k2, path))
 
     identity = (1.0, 0.0, 0.0, 1.0)
-    for spec in specs:
+    for spec in frame.curve_specs:
         lift = lift_of(identity, spec)
         if lift is not None:
             record(lift, ())
     level = [(identity, 0, ())]
-    seen = {identity}  # the identity is its own node key
+    seen = {_node_key(*identity)}
     at_depth = None
-    for done in range(depth + _STABILITY_STEP):
+    levels = depth + _STABILITY_STEP
+    for done in range(levels):
         if done == depth:
             at_depth = {k: list(v) for k, v in buckets.items()}
+        scored = done + 1 < levels
         children = []
         for (a, b, c, d), last, path in level:
             for letter, (ga, gb, gc, gd) in gens:
@@ -438,23 +539,12 @@ def _beam_buckets(frame, depth, beam_width):
                 nb = a * gb + b * gd
                 nc = c * ga + d * gc
                 nd = c * gb + d * gd
-                # node key: the entries up to sign and scale, to 9 places
-                scale = max(abs(na), abs(nb), abs(nc), abs(nd))
-                if scale == 0.0:
-                    key = (0.0, 0.0, 0.0, 0.0)
-                else:
-                    v = (na if na != 0.0 else nb if nb != 0.0
-                         else nc if nc != 0.0 else nd)
-                    sign = 1.0 if v > 0 else -1.0
-                    key = (round(sign * na / scale, 9),
-                           round(sign * nb / scale, 9),
-                           round(sign * nc / scale, 9),
-                           round(sign * nd / scale, 9))
+                key = _node_key(na, nb, nc, nd)
                 if key in seen:
                     continue
                 seen.add(key)
                 m = (na, nb, nc, nd)
-                for spec in specs:
+                for spec in link_candidates(na, nb, nc, nd):
                     lift = lift_of(m, spec)
                     if lift is not None:
                         record(lift, path + (letter,))
@@ -465,6 +555,8 @@ def _beam_buckets(frame, depth, beam_width):
                 top, bottom = math.hypot(na, nb), math.hypot(nc, nd)
                 if top == 0.0 or bottom == 0.0:
                     raise CombinatError(_UNDERFLOW_MESSAGE)
+                if not scored:
+                    continue
                 s = math.log(top) - math.log(bottom)
                 score = (math.asinh(abs(na * nc + nb * nd))
                          + max(0.0, below - s, s - above))
@@ -536,7 +628,7 @@ class IntersectionSequence:
         for a, b in zip(entries, entries[1:]):
             if (a.family == b.family
                     and abs(a.s - b.s) < constants.ENDPOINT_TIE_TOL):
-                raise CombinatError("crossing parameter tie between lifts")
+                raise CombinatError(_CROSSING_TIE_MESSAGE)
         # within one family the curves are disjoint, so the two boundary
         # orders must agree on every same-family pair of lifts
         for fam in ("P", "H"):

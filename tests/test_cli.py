@@ -324,6 +324,17 @@ def test_linking_tie_names_thicker_surface(capsys):
     assert "use a thicker one" in err
 
 
+def test_crossing_tie_names_thicker_surface(capsys):
+    # two seam lifts of adBD cross the axis within ENDPOINT_TIE_TOL of each
+    # other on these cuffs, which leaves the cyclic sequence ill defined
+    code, out, err = run(["rotation", "--lengths", "0.00146", "5.47e-05",
+                          "0.001", "--word", "adBD"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: crossing parameter tie: ")
+    assert "use a thicker one" in err
+
+
 def test_thin_cuff_gate_names_thicker_surface(capsys):
     # the float disjointness check of the pants curves cannot place the
     # axis of a 1e-6 cuff; it still refuses, since without it the search

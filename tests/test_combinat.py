@@ -3,6 +3,7 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teichlab import combinat, curves, hyp2, surface
 from teichlab.combinat import (
@@ -305,8 +306,12 @@ def beam_outcome(search, frame):
 
 def test_beam_matches_isometry_matrix_beam():
     # the entry-tuple beam must find the buckets of the IsometryMatrix
-    # search bit for bit, at depth 6 with a beam that cuts from level 3 on
-    for lengths in ([0.7, 0.8, 0.9], CRITERION_7_LENGTHS[0]):
+    # search bit for bit, at depth 6 with a beam that cuts from level 3 on.
+    # On the pinched surface the entries run from about 1e-72 to 8e9, and
+    # both fallbacks fire: node keys within 1e-6 of a half-step of 1e-9,
+    # and children whose chord test keeps every spec
+    for lengths in ([0.7, 0.8, 0.9], CRITERION_7_LENGTHS[0],
+                    [1e-4, 2e-5, 5e-5]):
         marked = make_surface(lengths)
         for gamma in ("c", "cd", "aB", "aaac"):
             frame = combinat._Frame(marked, combinat._normalize_word(gamma))
@@ -314,6 +319,139 @@ def test_beam_matches_isometry_matrix_beam():
             assert got == beam_outcome(isometry_beam, frame)
             if lengths == [0.7, 0.8, 0.9]:
                 assert sum(map(len, got[1].values())) > 0
+
+
+def test_last_level_keeps_underflow_raise():
+    # a two-letter child of aBcB on this surface has a row that rounds to
+    # zero.  A pass to depth 0 runs two levels, so that child is on the last
+    # level, which is not scored but still raises
+    frame = combinat._Frame(make_surface([1e-4, 2e-5, 5e-5]),
+                            combinat._normalize_word("aBcB"))
+    assert beam_outcome(isometry_beam, frame)[0] is CombinatError
+    for depth in (0, 1):
+        with pytest.raises(CombinatError, match="underflowed"):
+            combinat._beam_buckets(frame, depth, combinat._BEAM_WIDTH)
+
+
+def rounded_key(entries):
+    """The beam's node key as a tuple of round(x, 9), as the oracle has it."""
+    return isometry_node_key(hyp2.IsometryMatrix(*entries, _normalize=False))
+
+
+@st.composite
+def normalized_entry(draw):
+    """A value in [-1, 1], often a half-integer multiple of 1e-9 or a few
+    ulps from one, where rounding to 9 places is decided by the last bit."""
+    kind = draw(st.sampled_from(["half", "any", "edge"]))
+    if kind == "half":
+        x = (draw(st.integers(-10 ** 9, 10 ** 9 - 1)) + 0.5) / 1e9
+    elif kind == "any":
+        x = draw(st.floats(-1.0, 1.0))
+    else:
+        return draw(st.sampled_from([1.0, -1.0, 0.0, -0.0]))
+    toward = draw(st.sampled_from([math.inf, -math.inf]))
+    for _ in range(draw(st.integers(0, 3))):
+        x = math.nextafter(x, toward)
+    return max(-1.0, min(1.0, x))
+
+
+@st.composite
+def key_pair(draw):
+    """Two entry tuples that normalize exactly to the drawn values, the
+    second one a few ulps or one half-step of 1e-9 away per entry."""
+    xs = [draw(normalized_entry()) for _ in range(4)]
+    xs[draw(st.integers(0, 3))] = draw(st.sampled_from([1.0, -1.0]))
+    ys = list(xs)
+    for i in range(4):
+        step = draw(st.sampled_from(["same", "ulp", "half", "fresh"]))
+        if step == "ulp":
+            ys[i] = math.nextafter(xs[i], draw(st.sampled_from(
+                [math.inf, -math.inf])))
+        elif step == "half":
+            ys[i] = xs[i] + draw(st.sampled_from([5e-10, -5e-10]))
+        elif step == "fresh":
+            ys[i] = draw(normalized_entry())
+        if abs(xs[i]) == 1.0 or abs(ys[i]) > 1.0:
+            ys[i] = xs[i]
+    # a power-of-two scale keeps sign * v / scale exact
+    scale = draw(st.sampled_from([1.0, -1.0])) * 2.0 ** draw(
+        st.integers(-60, 60))
+    return (tuple(x * scale for x in xs), tuple(y * scale for y in ys))
+
+
+@settings(max_examples=400, deadline=None)
+@given(key_pair())
+def test_node_key_matches_rounded_tuples(pair):
+    first, second = pair
+    assert (combinat._node_key(*first) == combinat._node_key(*second)) == (
+        rounded_key(first) == rounded_key(second))
+
+
+def test_node_key_at_half_steps():
+    # every half-integer multiple of 1e-9 near a few points and its float
+    # neighbours: the int key splits and joins them as round(x, 9) does
+    for center in (0, 1, 123456789, 999999999, -1, -500000000):
+        for k in range(center - 3, center + 3):
+            half = (k + 0.5) / 1e9
+            for x in (math.nextafter(half, -math.inf), half,
+                      math.nextafter(half, math.inf)):
+                if abs(x) > 1.0:
+                    continue
+                for y in (x, (k - 0.5) / 1e9, (k + 1.5) / 1e9, k / 1e9,
+                          (k + 1) / 1e9):
+                    e1, e2 = (1.0, x, 0.0, -x), (1.0, y, 0.0, -x)
+                    assert (combinat._node_key(*e1)
+                            == combinat._node_key(*e2)) == (
+                        rounded_key(e1) == rounded_key(e2)), (x, y)
+    assert combinat._node_key(0.0, 0.0, 0.0, 0.0) == 0
+    # an overflowed entry normalizes to NaN, and such a tuple equals nothing
+    overflowed = (math.inf, 1.0, 0.0, 1.0)
+    assert rounded_key(overflowed) != rounded_key(overflowed)
+    assert combinat._node_key(*overflowed) != combinat._node_key(*overflowed)
+    # digits of +-10^9 in the balanced base do not carry into a neighbour
+    assert combinat._node_key(1.0, 0.3, 1.0, 0.2) != combinat._node_key(
+        1.0, 0.300000001, 0.0, 0.2)
+    assert combinat._node_key(1.0, 0.3, -1.0, 0.2) != combinat._node_key(
+        1.0, 0.299999999, 0.0, 0.2)
+    assert combinat._node_key(2.0, 0.0, 0.0, 0.5) == combinat._node_key(
+        -4.0, -0.0, 0.0, -1.0)
+
+
+@pytest.fixture(scope="module")
+def chord_frames(reference):
+    pinched = make_surface([1e-4, 2e-5, 5e-5])
+    return [combinat._Frame(m, combinat._normalize_word(w))
+            for m, w in ((reference, "cd"), (reference, "aB"),
+                         (pinched, "c"), (pinched, "aaac"))]
+
+
+signed_magnitude = st.builds(
+    lambda e, neg: -(10.0 ** e) if neg else 10.0 ** e,
+    st.floats(-300.0, 300.0), st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_chord_test_skips_no_linking_lift(chord_frames, data):
+    # entries from 1e-300 to 1e300 in size, with p = -b/a or q = -d/c often
+    # aimed within a few ulps of a base endpoint of the frame
+    frame = data.draw(st.sampled_from(chord_frames))
+    a, b, c, d = (data.draw(signed_magnitude) for _ in range(4))
+    ends = frame._finite_ends
+    if data.draw(st.booleans()):
+        b = -a * data.draw(st.sampled_from(ends))
+    if data.draw(st.booleans()):
+        d = -c * data.draw(st.sampled_from(ends))
+    toward = data.draw(st.sampled_from([math.inf, -math.inf]))
+    for _ in range(data.draw(st.integers(0, 3))):
+        b = math.nextafter(b, toward)
+    candidates = frame.link_candidates(a, b, c, d)
+    if candidates is frame.curve_specs:
+        return
+    assert candidates == frame._infinite_specs
+    for spec in frame.curve_specs:
+        if spec not in candidates:
+            assert frame.lift_of((a, b, c, d), spec) is None
 
 
 def cyclic_rotations(seq):

@@ -15,8 +15,12 @@ instead.  Compare two trees with `diff`:
 
 The words are c, cd, aB, aaac, abAB and aBcB; the surfaces are the thick
 reference (0.7 0.8 0.9), the three criterion-7 surfaces, 0.02 0.03 0.015
-and the pinched 1e-4 2e-5 5e-5, all untwisted.  Only the standard library
-and the package under --src are imported.
+and the pinched 1e-4 2e-5 5e-5, all untwisted.  With --all the words are
+every class of the benchmark's `lifts` pool instead (the classes of 2 to
+4 letters outside the hexagon system, in enumeration order, 374 of them),
+on the thick reference and the three criterion-7 surfaces: 1,496
+searches, about 7 minutes on a 2-core x86-64 machine.  Only the standard
+library and the package under --src are imported.
 """
 
 import argparse
@@ -54,18 +58,29 @@ def main(argv=None):
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="source tree whose teichlab package runs "
                              "(default: this repository's src)")
+    parser.add_argument("--all", action="store_true",
+                        help="every class of the lifts pool on the thick "
+                             "reference and the criterion-7 surfaces")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from teichlab import combinat, constants, surface
+    from teichlab import combinat, constants, curves, surface
 
     dec = surface.builtin_genus2_convenient()
-    for lengths in LENGTHS:
+    words, surfaces = WORDS, LENGTHS
+    if args.all:
+        thick = surface.build_holonomy(dec, surface.FNCoordinates(LENGTHS[0]))
+        system = combinat.HexagonSystem(thick)
+        words = [curves.word_to_text(c.word)
+                 for c in curves.enumerate_conj_classes(2, 4)
+                 if len(c) >= 2 and not system.excludes(c.word)]
+        surfaces = LENGTHS[:4]
+    for lengths in surfaces:
         try:
             marked = surface.build_holonomy(dec,
                                             surface.FNCoordinates(lengths))
         except Exception as exc:
             marked, error = None, "%s: %s" % (type(exc).__name__, exc)
-        for word in WORDS:
+        for word in words:
             line = (digest(combinat, constants, marked, word)
                     if marked is not None else error)
             print("%-5s %-22s %s" % (word, " ".join("%g" % x for x in lengths),
