@@ -236,8 +236,7 @@ def cmd_thurston_verify_symmetric(args, rep):
         surfs = [surface_mod.build_holonomy(
             dec, thurston.symmetric_path_point(spec, t, args.shrunk_index))
             for t in (t1, t2)]
-        fwd = thurston.ratio_sup(surfs[0], surfs[1], family)
-        rev = thurston.ratio_sup(surfs[1], surfs[0], family)
+        fwd, rev = thurston.ratio_sup_both_ways(surfs[0], surfs[1], family)
         for name, cert in (("forward", fwd), ("reverse", rev)):
             good = abs(cert.sup_ratio - expected) <= 1e-9 * expected
             ok = ok and good
@@ -273,8 +272,7 @@ def cmd_thurston_asymmetry(args, rep):
         surfs = [surface_mod.build_holonomy(
             dec, thurston.asymmetry_path_point(args.base, t, f, T=args.T))
             for t in (t1, t2)]
-        fwd = thurston.ratio_sup(surfs[0], surfs[1], family)
-        rev = thurston.ratio_sup(surfs[1], surfs[0], family)
+        fwd, rev = thurston.ratio_sup_both_ways(surfs[0], surfs[1], family)
         e_fwd = math.exp(t2 - t1)
         e_rev = math.exp(f(t1) - f(t2))
         ok_f = abs(fwd.sup_ratio - e_fwd) <= 1e-9 * e_fwd

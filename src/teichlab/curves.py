@@ -92,16 +92,27 @@ def cyclic_reduce(word):
     return tuple(stack)
 
 
+def _min_rotation(keys):
+    """Least rotation of a letter-key tuple or of its inverse's.
+
+    The key of a letter's inverse is its own key with the low bit flipped.
+    """
+    n = len(keys)
+    inv = tuple(k ^ 1 for k in reversed(keys))
+    return min(w[i:] + w[:i] for w in (keys, inv) for i in range(n))
+
+
+def _key_letters(keys):
+    return tuple(-(k // 2 + 1) if k & 1 else k // 2 + 1 for k in keys)
+
+
 def canonical_cyclic_form(word):
     """Lexicographically minimal rotation of the word or its inverse."""
     reduced = cyclic_reduce(word)
     if not reduced:
         raise CurvesError("trivial class")
-    inv = tuple(-v for v in reversed(reduced))
-    n = len(reduced)
-    best = min((w[i:] + w[:i] for w in (reduced, inv) for i in range(n)),
-               key=_word_key)
-    return ConjClass(best, canonical=True)
+    return ConjClass(_key_letters(_min_rotation(_word_key(reduced))),
+                     canonical=True)
 
 
 _ENUM_BUDGET = 5_000_000
@@ -112,6 +123,12 @@ def enumerate_conj_classes(genus, max_len):
 
     Deterministic and sorted by (length, lexicographic key).  Words equal
     in the surface group through the relator are counted separately.
+
+    Each class is listed by its canonical word, so only canonical words are
+    kept.  A canonical word starts with its least letter key among itself
+    and its inverse, which is an uninverted generator g, and no letter of
+    it names a generator below g; the walk over reduced key tuples only
+    extends prefixes of that shape.
     """
     if genus != 2:
         raise CurvesError("only the builtin genus-2 presentation is wired up")
@@ -125,28 +142,23 @@ def enumerate_conj_classes(genus, max_len):
             "max_len %d needs ~%d reduced words, over the enumeration budget"
             % (max_len, estimate))
 
-    letters = [v for i in range(1, rank + 1) for v in (i, -i)]
-    seen = set()
     out = []
 
-    def extend(prefix, length):
-        if prefix:
-            first, last = prefix[0], prefix[-1]
-            if first != -last or length == 1:
-                cls = canonical_cyclic_form(prefix)
-                if cls.word not in seen:
-                    seen.add(cls.word)
-                    out.append(cls)
-        if length == max_len:
+    def extend(keys):
+        # cyclically reduced, and the least rotation of the class
+        if keys[-1] != keys[0] ^ 1 and _min_rotation(keys) == keys:
+            out.append(keys)
+        if len(keys) == max_len:
             return
-        for v in letters:
-            if prefix and prefix[-1] == -v:
-                continue
-            extend(prefix + (v,), length + 1)
+        back = keys[-1] ^ 1
+        for k in range(keys[0], 2 * rank):
+            if k != back:
+                extend(keys + (k,))
 
-    extend((), 0)
-    out.sort(key=lambda c: (len(c.word), _word_key(c.word)))
-    return out
+    for first in range(0, 2 * rank, 2):
+        extend((first,))
+    out.sort(key=lambda keys: (len(keys), keys))
+    return [ConjClass(_key_letters(keys), canonical=True) for keys in out]
 
 
 # --- words in the pants reflection group --------------------------------------

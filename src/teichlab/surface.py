@@ -393,24 +393,34 @@ class MarkedSurface:
         """Translation lengths of the words' holonomies, in the order given.
 
         Each entry is a float, or the SurfaceError that `curve_length`
-        raises for a word whose image is not hyperbolic.  Each word is
-        cyclically reduced first (`curves.cyclic_reduce`), which keeps its
-        conjugacy class: folding a conjugate such as cdCD a (cdCD)^-1 as
-        given passes through entries large enough that the trace's excess
-        over 2 drowns in rounding on pinched surfaces.  A word that reduces
-        to nothing gets the error of `aA` (parabolic).  Lengths come from
-        the trace in extended precision: the cancellation in tr - 2 is of
-        order exp(4 * axis distance) and exceeds what float64 carries for
-        short cuffs.
+        raises for a word whose image is not hyperbolic: the exact lengths
+        `_trace_lengths` of the traces of `curve_traces`.
+        """
+        return _trace_lengths(self.curve_traces(words))
+
+    def curve_traces(self, words):
+        """80-digit |trace| of the words' holonomies, in the order given.
+
+        Each entry is an mpf above 2, or the SurfaceError that
+        `curve_length` raises for a word whose image is not hyperbolic.
+        Each word is cyclically reduced first (`curves.cyclic_reduce`),
+        which keeps its conjugacy class: folding a conjugate such as
+        cdCD a (cdCD)^-1 as given passes through entries large enough that
+        the trace's excess over 2 drowns in rounding on pinched surfaces.
+        A word that reduces to nothing gets the error of `aA` (parabolic).
+        The trace stays in extended precision: the cancellation in tr - 2
+        is of order exp(4 * axis distance) and exceeds what float64
+        carries for short cuffs.
 
         The holonomy of a reduced word is the same left fold from the
-        identity as `_mp_holonomy`, so every length is bit-identical to a
+        identity as `_mp_holonomy`, so every trace is bit-identical to a
         word-by-word evaluation of the reduced word.  A stack holds the
         products of the previous word's proper prefixes; a word reuses
         those of its common prefix with it, forms one product per further
         letter but the last, and takes only the trace of its last product.
         Words that share prefixes should come in a row (enumeration order
-        does this); any order gives the same lengths.
+        does this); any order gives the same traces.  This fold is the one
+        place where length batches form prefix products.
         """
         from . import curves  # curves imports this module
 
@@ -448,8 +458,19 @@ class MarkedSurface:
                     out.append(SurfaceError(
                         "not a closed geodesic class: image is %s" % kind))
                 else:
-                    out.append(float(2 * mpmath.acosh(t / 2)))
+                    out.append(t)
         return out
+
+
+def _trace_lengths(traces):
+    """Translation lengths 2 acosh(t/2) of 80-digit |traces| t > 2.
+
+    The acosh runs at 80 digits and only its result is rounded to a
+    float.  SurfaceError entries pass through.
+    """
+    with mpmath.workdps(_DPS):
+        return [t if isinstance(t, SurfaceError)
+                else float(2 * mpmath.acosh(t / 2)) for t in traces]
 
 
 def build_holonomy(decomposition, coords):

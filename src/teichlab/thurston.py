@@ -9,10 +9,20 @@ curve exceeds it.  The checks here certify the literally computable half
 of that statement: the witness ratio is exact and a supplied family of
 curve classes never beats it.  The full supremum over all classes is not
 recomputed; every report is a family-restricted certificate.
+
+A certificate reads one 80-digit trace batch per surface
+(`MarkedSurface.curve_traces`).  Float estimates of the lengths rank the
+words, and only the words whose estimated ratio can reach the supremum or
+the witness band get exact lengths (80-digit acosh, as `curve_lengths`).
+The screen's margin covers the estimates' error many times over, so the
+supremum, the witness and the counts equal those of exact lengths for
+every word (see `_sup_certificate`).
 """
 
 import math
 import random
+
+import mpmath
 
 from . import constants, curves
 from . import surface as surface_mod
@@ -221,45 +231,121 @@ def _class_key(word):
     return (len(word), curves._word_key(word))
 
 
-def _ratios(x_lengths, y_lengths):
-    """l_Y/l_X per word from two `curve_lengths` batches; None where either
-    length is not hyperbolic."""
-    return [None if isinstance(lx, surface_mod.SurfaceError)
-            or isinstance(ly, surface_mod.SurfaceError) else ly / lx
-            for lx, ly in zip(x_lengths, y_lengths)]
+# relative width of the witness band below the supremum: a curve and its
+# powers give ulp-separated ratios
+_WITNESS_BAND = 1e-12
+# bound on the relative error of a screened ratio; the length estimates of
+# `_estimated_length` are off by a few ulps at most (2.2e-16 at worst over
+# the classes up to 5 letters on thick, pinched and twisted surfaces)
+_SCREEN_REL_ERR = 1e-13
 
 
-def _sup_certificate(words, ratios):
-    """The certificate of `ratio_sup` from the ratios of its family words."""
+def _estimated_length(t):
+    """Float estimate of the length 2 acosh(t/2) of an 80-digit trace t > 2.
+
+    Near t = 2 the float of t keeps no digit of the length (a 1e-6 cuff
+    has t - 2 ~ 1e-12), so there the excess d = t - 2 is formed exactly
+    and the length is 4 asinh(sqrt(d)/2), the same value.  Either branch
+    is off by a few ulps at most: from t >= 3 on, the length is no more
+    than 1.4 times as sensitive to t as t's own rounding, and d is rounded
+    once.  A trace beyond the float range gives inf.
+    """
+    x = float(t)
+    if x >= 3.0:
+        return 2.0 * math.acosh(x / 2.0)
+    return 4.0 * math.asinh(
+        math.sqrt(float(mpmath.fsub(t, 2, exact=True))) / 2.0)
+
+
+def _sup_certificate(words, x_traces, y_traces):
+    """The certificate of `ratio_sup` from the traces of its family words.
+
+    A word whose trace is not hyperbolic on either surface is skipped.
+    Every other word gets an estimated ratio e = l~_Y/l~_X, and only the
+    candidates get exact lengths and exact ratios r.  The candidates are the
+    words with e >= E (1 - w)(1 - 2 delta), where E is the largest estimate,
+    w the witness band and delta = `_SCREEN_REL_ERR`, plus every word whose
+    estimate is not a finite positive ratio.
+
+    Why this changes nothing: each estimate has |e/r - 1| <= delta (the
+    lengths' errors and the division's rounding are below 1e-15).  Let R
+    be the exact supremum and u a word with r_u >= R (1 - w), as the
+    supremum's word and every witness-band word are.  If E = e_v then
+    E <= (1 + delta) r_v <= (1 + delta) R, so
+    e_u >= (1 - delta)(1 - w) R >= (1 - delta)/(1 + delta) (1 - w) E
+    >= (1 - 2 delta)(1 - w) E, and u is a candidate.  The supremum and the
+    witness band over the candidates are thus those over the whole family,
+    and so are the supremum, the witness and the counts; the slack between
+    1e-15 and delta absorbs the roundings of the bar itself.
+    """
     if not words:
         raise ThurstonError("family must be nonempty")
-    evaluated = [(w, r) for w, r in zip(words, ratios) if r is not None]
-    skipped = len(words) - len(evaluated)
-    if not evaluated:
+    error = surface_mod.SurfaceError
+    screened, candidates = [], []
+    for i, (tx, ty) in enumerate(zip(x_traces, y_traces)):
+        if isinstance(tx, error) or isinstance(ty, error):
+            continue
+        lx = _estimated_length(tx)
+        ratio = _estimated_length(ty) / lx if lx > 0.0 else math.inf
+        if 0.0 < ratio < math.inf:
+            screened.append((ratio, i))
+        else:
+            candidates.append(i)
+    family_size = len(screened) + len(candidates)
+    if not family_size:
         raise ThurstonError("no hyperbolic class in the family")
+    if screened:
+        bar = max(r for r, _ in screened) * ((1.0 - _WITNESS_BAND)
+                                             * (1.0 - 2.0 * _SCREEN_REL_ERR))
+        candidates += [i for ratio, i in screened if ratio >= bar]
+    lengths = surface_mod._trace_lengths
+    evaluated = [(words[i], ly / lx) for i, lx, ly in zip(
+        candidates, lengths([x_traces[i] for i in candidates]),
+        lengths([y_traces[i] for i in candidates]))]
     sup_ratio = max(r for _, r in evaluated)
-    # witness: canonically smallest word within a relative hair of the
-    # supremum (a curve and its powers give ulp-separated ratios)
+    # witness: canonically smallest word within the band below the supremum
     witness = min((w for w, r in evaluated
-                   if r >= sup_ratio * (1.0 - 1e-12)), key=_class_key)
-    return RatioCertificate(sup_ratio, witness, len(words) - skipped,
-                            skipped, False)
+                   if r >= sup_ratio * (1.0 - _WITNESS_BAND)), key=_class_key)
+    return RatioCertificate(sup_ratio, witness, family_size,
+                            len(words) - family_size, False)
+
+
+def _certificates(surfaces, family, pairs):
+    """`ratio_sup` certificates for index pairs (x, y) into `surfaces`.
+
+    Each surface folds the family once; every pair reads those batches.
+    """
+    words = [curves._as_word(cls) for cls in family]
+    traces = [s.curve_traces(words) for s in surfaces]
+    return [_sup_certificate(words, traces[x], traces[y]) for x, y in pairs]
 
 
 def ratio_sup(x_surface, y_surface, family, designated=None, expected=None):
-    """Max of l_Y/l_X over the family; ties break by canonical word order."""
-    words = [curves._as_word(cls) for cls in family]
-    # one batched length pass per surface
-    cert = _sup_certificate(words, _ratios(x_surface.curve_lengths(words),
-                                           y_surface.curve_lengths(words)))
+    """Max of l_Y/l_X over the family; ties break by canonical word order.
+
+    The supremum and witness come from exact lengths (80-digit acosh, as
+    `curve_lengths`) of the words a float screen of the traces leaves in
+    reach of them; the screen's margin makes them equal to the supremum
+    and witness of exact lengths for all words (`_sup_certificate`).  The
+    designated word's ratio, when given, is exact.
+    """
+    cert, = _certificates([x_surface, y_surface], family, [(0, 1)])
     if designated is not None and expected is not None:
         des = [curves._as_word(designated)]
-        des_ratio, = _ratios(x_surface.curve_lengths(des),
-                             y_surface.curve_lengths(des))
-        cert.exact_flag = (des_ratio is not None
-                           and abs(des_ratio - expected) <= 1e-9 * expected
+        lx, = x_surface.curve_lengths(des)
+        ly, = y_surface.curve_lengths(des)
+        cert.exact_flag = (not isinstance(lx, surface_mod.SurfaceError)
+                           and not isinstance(ly, surface_mod.SurfaceError)
+                           and abs(ly / lx - expected) <= 1e-9 * expected
                            and cert.sup_ratio <= expected * (1.0 + 1e-9))
     return cert
+
+
+def ratio_sup_both_ways(x_surface, y_surface, family):
+    """`ratio_sup(x, y)` and `ratio_sup(y, x)` from one fold per surface."""
+    forward, reverse = _certificates([x_surface, y_surface], family,
+                                     [(0, 1), (1, 0)])
+    return forward, reverse
 
 
 def verify_noisy_geodesic(spec, decomposition, sample_pairs, family,
@@ -336,11 +422,13 @@ def linf_grid_check(base_log_lengths, T, k, grid_n, family, decomposition,
     points = [()]
     for _ in range(k):
         points = [p + (t,) for p in points for t in ticks]
-    # each surface's family lengths once; every ordered pair then forms
-    # the certificate `ratio_sup` would from the same two batches
-    words = [curves._as_word(cls) for cls in family]
-    lengths = {p: surface_mod.build_holonomy(
-        decomposition, embed(p)).curve_lengths(words) for p in points}
+    # each surface folds the family once; every ordered pair then reads the
+    # certificate `ratio_sup` would form from the same two batches
+    ordered = [(a, b) for a in points for b in points if a != b]
+    index = {p: i for i, p in enumerate(points)}
+    certs = dict(zip(ordered, _certificates(
+        [surface_mod.build_holonomy(decomposition, embed(p)) for p in points],
+        family, [(index[a], index[b]) for a, b in ordered])))
 
     results = []
     for a in points:
@@ -351,8 +439,7 @@ def linf_grid_check(base_log_lengths, T, k, grid_n, family, decomposition,
             expected = math.exp(max(diffs))
             axis = max(range(k), key=lambda i: diffs[i])
             for src, dst in ((a, b), (b, a)):
-                cert = _sup_certificate(
-                    words, _ratios(lengths[src], lengths[dst]))
+                cert = certs[src, dst]
                 ok = (abs(cert.sup_ratio - expected) <= rel_tol * expected
                       if max(diffs) > 0
                       else cert.sup_ratio <= 1.0 + rel_tol)

@@ -296,6 +296,12 @@ def _reference_length(s, word):
 def _assert_batch_matches(s, words):
     got = s.curve_lengths(words)
     assert len(got) == len(words)
+    # the lengths are the exact lengths of the batch's traces
+    for g, t in zip(got, s.curve_traces(words)):
+        if isinstance(g, SurfaceError):
+            assert isinstance(t, SurfaceError) and str(t) == str(g)
+        else:
+            assert surface._trace_lengths([t]) == [g]
     for w, g in zip(words, got):
         want = _reference_length(s, w)
         if isinstance(want, str):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from teichlab import curves, surface, thurston
@@ -231,6 +232,134 @@ def test_trivial_words_are_skipped_not_measured():
         assert (cert.sup_ratio, cert.witness) == (want.sup_ratio, want.witness)
 
 
+# --- the float screen of ratio_sup ----------------------------------------------
+
+
+def oracle_certificate(x_surface, y_surface, family):
+    """Exhaustive reference: exact lengths of every word, then the supremum
+    and the canonically smallest word within 1e-12 of it."""
+    words = [curves._as_word(cls) for cls in family]
+    evaluated = [(w, ly / lx) for w, lx, ly in zip(
+        words, x_surface.curve_lengths(words), y_surface.curve_lengths(words))
+        if not isinstance(lx, surface.SurfaceError)
+        and not isinstance(ly, surface.SurfaceError)]
+    sup_ratio = max(r for _, r in evaluated)
+    witness = min((w for w, r in evaluated if r >= sup_ratio * (1.0 - 1e-12)),
+                  key=lambda w: (len(w), curves._word_key(w)))
+    return sup_ratio, witness, len(evaluated), len(words) - len(evaluated)
+
+
+def noisy_pair(seed):
+    rng = random.Random(seed)
+    spec = random_noisy_spec(BASE, 1.0, rng.randrange(3), seed=seed)
+    t1 = rng.uniform(0.0, 0.9)
+    t2 = rng.uniform(t1 + 1e-3, 1.0)
+    x = build(noisy_path_point(spec, t1))
+    y = build(noisy_path_point(spec, t2))
+    return x, y, x.curve_words[spec.stretched_index], math.exp(t2 - t1)
+
+
+POWERS_AND_TRIVIAL = ["a", "aa", "aaa", "aA", "bcCB", "b", "cd", "BA", "aaaa"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_screened_certificate_matches_exhaustive_oracle(family, seed):
+    x, y, stretched, expected = noisy_pair(seed)
+    for fam in (family, POWERS_AND_TRIVIAL):
+        for a, b in ((x, y), (y, x)):
+            cert = ratio_sup(a, b, fam, stretched, expected)
+            want = oracle_certificate(a, b, fam)
+            assert (cert.sup_ratio, cert.witness, cert.family_size,
+                    cert.skipped) == want
+            rd = b.curve_length(stretched) / a.curve_length(stretched)
+            assert cert.exact_flag == (abs(rd - expected) <= 1e-9 * expected
+                                       and want[0] <= expected * (1.0 + 1e-9))
+    assert ratio_sup(x, y, family, stretched, expected).exact_flag
+
+
+def test_screened_certificate_on_ties_and_twists():
+    # X = Y ties every ratio at 1; the twisted pair and the pinched-to-thick
+    # pair mix traces near 2 with traces far above 3
+    family5 = [c.word for c in curves.enumerate_conj_classes(2, 5)]
+    thick = build(FNCoordinates([0.7, 0.8, 0.9]))
+    twisted = build(FNCoordinates([0.7, 0.8, 0.9], [0.3, -1.1, 2.0]))
+    skew = build(FNCoordinates([1e-3, 2e-4, 5e-4], [0.5, 0.1, -0.4]))
+    pinched = build(FNCoordinates([1e-6, 5e-5, 1e-5]))
+    cases = [(thick, thick, family5), (twisted, skew, family5),
+             (skew, twisted, POWERS_AND_TRIVIAL), (pinched, thick, family5),
+             (thick, pinched, POWERS_AND_TRIVIAL)]
+    for x, y, fam in cases:
+        cert = ratio_sup(x, y, fam)
+        assert (cert.sup_ratio, cert.witness, cert.family_size,
+                cert.skipped) == oracle_certificate(x, y, fam)
+    tie = ratio_sup(thick, thick, family5)
+    assert (tie.sup_ratio, tie.witness) == (1.0, (1,))
+    fwd, rev = thurston.ratio_sup_both_ways(twisted, skew, family5)
+    for got, (x, y) in ((fwd, (twisted, skew)), (rev, (skew, twisted))):
+        want = ratio_sup(x, y, family5)
+        assert (got.sup_ratio, got.witness, got.family_size,
+                got.skipped) == (want.sup_ratio, want.witness,
+                                 want.family_size, want.skipped)
+
+
+def test_length_estimates_within_screen_error():
+    delta = thurston._SCREEN_REL_ERR
+    words = [c.word for c in curves.enumerate_conj_classes(2, 5)]
+    pinched = build(FNCoordinates([1e-6, 5e-5, 1e-5]))
+    for name, s in (("thick", build(FNCoordinates([0.7, 0.8, 0.9]))),
+                    ("pinched", pinched),
+                    ("twisted", build(FNCoordinates([0.7, 0.8, 0.9],
+                                                    [0.3, -1.1, 2.0])))):
+        traces = s.curve_traces(words)
+        pairs = [(thurston._estimated_length(t), length)
+                 for t, length in zip(traces, s.curve_lengths(words))
+                 if not isinstance(t, surface.SurfaceError)]
+        assert len(pairs) == len(words)
+        worst = max(abs(e / length - 1.0) for e, length in pairs)
+        assert worst <= delta / 100, name
+    # the float of a trace near 2 keeps almost no digit of a 1e-6 cuff
+    a, = pinched.curve_traces(["a"])
+    plain = 2.0 * math.acosh(float(a) / 2.0)
+    assert abs(plain / pinched.curve_length("a") - 1.0) > delta / 100
+
+
+def test_screen_margin_keeps_a_word_at_the_witness_band():
+    # a word whose exact ratio sits on the witness band while its estimate
+    # falls just below the unmargined bar; without the margin the screen
+    # drops it and the witness changes
+    band = 1.0 - 1e-12
+
+    def trace(length):
+        with mpmath.workdps(80):
+            return 2 * mpmath.cosh(mpmath.mpf(length) / 2)
+
+    est = thurston._estimated_length
+
+    def exact(t):
+        length, = surface._trace_lengths([t])
+        return length
+
+    found = None
+    for lx in (0.9, 1.3, 2.0, 3.1):
+        tx = trace(lx)
+        ty_b = trace(1.7)
+        r_b = exact(ty_b) / exact(tx)
+        for k in range(-8, 9):
+            ty_a = trace(r_b * band * exact(tx) * (1 + k * 2.0 ** -52))
+            r_a = exact(ty_a) / exact(tx)
+            if (r_b * band <= r_a < r_b
+                    and est(ty_a) / est(tx) < est(ty_b) / est(tx) * band):
+                found = tx, ty_a, ty_b
+                break
+        if found:
+            break
+    assert found is not None
+    tx, ty_a, ty_b = found
+    cert = thurston._sup_certificate([(1,), (2,)], [tx, tx], [ty_a, ty_b])
+    assert cert.sup_ratio == exact(ty_b) / exact(tx)
+    assert cert.witness == (1,)
+
+
 # --- noisy geodesic certificates ------------------------------------------------
 
 
@@ -360,16 +489,16 @@ def test_linf_grid_k1(family):
 
 
 def test_linf_grid_lengths_once_per_surface(family, monkeypatch):
-    # one length batch per grid point, and the report of the per-pair
+    # one trace batch per grid point, and the report of the per-pair
     # ratio_sup calls it replaces
     calls = []
-    batch = surface.MarkedSurface.curve_lengths
+    batch = surface.MarkedSurface.curve_traces
 
     def counting(self, words):
         calls.append(len(words))
         return batch(self, words)
 
-    monkeypatch.setattr(surface.MarkedSurface, "curve_lengths", counting)
+    monkeypatch.setattr(surface.MarkedSurface, "curve_traces", counting)
     report = linf_grid_check(BASE, 0.6, 1, 4, family, DEC)
     assert calls == [len(family)] * 4
     monkeypatch.undo()
