@@ -103,13 +103,7 @@ def cmd_hexagon(args, rep):
     for a1, a2, a3 in shapes:
         shape = pants.PantsShape(a1, a2, a3)
         for i in (1, 2, 3):
-            a_k, a_l, t = pants.solve_pentagon_split(shape, i)
-            b1, b2, b3 = pants._cyclic(shape, i)
-            add, r2, r3 = pants.pentagon_residuals(a_k, a_l, t, b1, b2, b3)
-            # relative to the terms they cancel: float carries ~1e-16 of
-            # cosh a_i, which is above 1e-10 absolute once a_i is ~15
-            worst = max(worst, abs(add) / max(1.0, b1),
-                        abs(r2) / math.cosh(b2), abs(r3) / math.cosh(b3))
+            worst = max(worst, *pants.pentagon_relative_residuals(shape, i))
     rep.say("shapes %d worst_residual %s tol %s"
             % (len(shapes), _fmt(worst), _fmt(tol)))
     return PASS if worst <= tol else FAIL

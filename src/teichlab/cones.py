@@ -5,7 +5,9 @@ of a class is its length vector in R^n.  When every pants-curve length is
 small, the rays through all Jordan projections accumulate exactly on the
 polyhedral cone over the pants-curve projections; the checks here build
 that cone, test ray membership with an angular slack, and construct
-designer length data realizing a prescribed cone.
+designer length data realizing a prescribed cone.  Zariski density of the
+product representation, which that accumulation needs, is assumed, not
+proven.
 """
 
 import json
@@ -420,23 +422,6 @@ def decompose_projection(surfaces, gamma, rotation_data=None,
     return tuple(r_vec), tuple(l_vec)
 
 
-def distinct_jordan_fingerprints(surfaces, classes, tol=1e-9):
-    """Pairwise non-conjugacy check by length-spectrum fingerprint.
-
-    Two conjugate classes share every component of the Jordan projection,
-    so distinct fingerprints certify pairwise non-conjugacy.  Caveat: this
-    is only a necessary condition for the group generated by the classes
-    to be large; genuine Zariski density of the product representation is
-    assumed, not proven, throughout this module.
-    """
-    fps = [lam.components for lam in _jordan_vectors(surfaces, classes)]
-    for i in range(len(fps)):
-        for j in range(i + 1, len(fps)):
-            if all(abs(a - b) <= tol for a, b in zip(fps[i], fps[j])):
-                return False
-    return True
-
-
 # --- serialization --------------------------------------------------------------
 
 
@@ -466,8 +451,3 @@ def cone_to_json(cone):
         "facets": [list(f) for f in cone.facet_normals],
         "interior_ones": cone.interior_ones,
     })
-
-
-def cone_from_json(text):
-    data = json.loads(text)
-    return PolyCone(data["vertices"], data["facets"], data["interior_ones"])

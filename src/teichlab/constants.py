@@ -73,7 +73,3 @@ ROTATION_COMPARABILITY_SLACK = 1.0
 
 # Non-rotating length lower bound L >= B * i(gamma, P) at pinching 1e-4.
 B_NONROT = 5.0
-
-# Hexagon-embedding drift rate: max_p d(iota_A(p), iota_A'(psi(p))) <= K*t
-# for A' = e^t * A; measured ~0.6 at a_i <= 0.05, t <= 0.01; frozen.
-K_EMBEDDING_DRIFT = 2.0

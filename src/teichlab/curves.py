@@ -1,17 +1,11 @@
-"""Conjugacy classes of closed curves and reduced pants-reflection words.
+"""Conjugacy classes of closed curves.
 
 Free homotopy classes in the genus-2 surface group are handled as cyclic
 words in the four marking generators, identified under rotation and
 inversion.  Relator-equivalent duplicates are not quotiented (no conjugacy
 solver); downstream experiments collapse them by length/rotation
 fingerprints instead.
-
-Pants words live in the reflection group <x, y, z | x^2 = y^2 = z^2 = e>:
-reduced means no letter twice in a row, and closed geodesics correspond to
-cyclic words that are not pure powers of a two-letter alternation.
 """
-
-import itertools
 
 from . import surface
 
@@ -159,96 +153,3 @@ def enumerate_conj_classes(genus, max_len):
         extend((first,))
     out.sort(key=lambda keys: (len(keys), keys))
     return [ConjClass(_key_letters(keys), canonical=True) for keys in out]
-
-
-# --- words in the pants reflection group --------------------------------------
-
-_PANTS_LETTERS = "xyz"
-_PAIR_TAGS = {frozenset("xy"): "xy", frozenset("yz"): "yz",
-              frozenset("zx"): "zx"}
-
-
-class PantsWord:
-    """Reduced word over {x, y, z}: no letter twice consecutively."""
-
-    __slots__ = ("letters", "cyclic")
-
-    def __init__(self, letters, cyclic=False):
-        letters = tuple(letters)
-        if not letters:
-            raise CurvesError("empty pants word")
-        for ch in letters:
-            if ch not in _PANTS_LETTERS:
-                raise CurvesError("letters must be x, y or z")
-        for u, v in zip(letters, letters[1:]):
-            if u == v:
-                raise CurvesError("word is not reduced")
-        if cyclic and len(letters) > 1 and letters[0] == letters[-1]:
-            raise CurvesError("cyclic word must not repeat around the cycle")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "cyclic", bool(cyclic))
-
-    def __setattr__(self, *a):
-        raise AttributeError("PantsWord is immutable")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def text(self):
-        return "".join(self.letters)
-
-
-def pants_word_runs(w):
-    """Maximal two-letter alternating runs of a reduced pants word.
-
-    Returns (runs, peripheral): runs are (pair tag, half-length) with
-    half-length = letters/2, so (xy)^n scores n; adjacent runs overlap in
-    one shared letter.  A cyclic word alternating exactly two letters is a
-    power of a boundary element and is flagged peripheral.
-    """
-    letters = w.letters
-    n = len(letters)
-    if n == 1:
-        return [], False
-    if w.cyclic:
-        if len(set(letters)) == 2:
-            # fully alternating; reduced cyclic two-letter words have even
-            # length, giving a whole number of pairs
-            tag = _PAIR_TAGS[frozenset(letters)]
-            return [(tag, n / 2.0)], True
-        # break the cycle at a position where the alternation fails
-        start = next(i for i in range(n)
-                     if letters[(i + 2) % n] != letters[i])
-        seq = [letters[(start + 1 + j) % n] for j in range(n + 1)]
-    else:
-        seq = list(letters)
-    runs = []
-    seg = 0
-    for i in range(2, len(seq) + 1):
-        if i == len(seq) or seq[i] != seq[i - 2]:
-            runs.append((_PAIR_TAGS[frozenset(seq[seg:seg + 2])],
-                         (i - seg) / 2.0))
-            seg = i - 1
-            if i == len(seq):
-                break
-    return runs, False
-
-
-def pants_boundary_word(label, power=1):
-    """Cyclic pants word of a boundary element power: a=yz, b=zx, c=xy."""
-    pair = {"a": "yz", "b": "zx", "c": "xy"}.get(label)
-    if pair is None or power < 1:
-        raise CurvesError("label must be a, b or c with positive power")
-    return PantsWord(pair * power, cyclic=True)
-
-
-def reduced_pants_words(max_len, cyclic=False):
-    """All reduced (optionally cyclically reduced) pants words up to max_len."""
-    out = []
-    for n in range(1, max_len + 1):
-        for tup in itertools.product(_PANTS_LETTERS, repeat=n):
-            try:
-                out.append(PantsWord(tup, cyclic=cyclic))
-            except CurvesError:
-                continue
-    return out

@@ -1,4 +1,4 @@
-"""Single-cylinder analytics: model maps, damping, twisting, spiraling.
+"""Single-cylinder analytics: model maps, damping, spiraling.
 
 Cut cylinders C_a carry Fermi coordinates (s, r): arc position s along the
 core (period a) and signed distance r from the core, with |r| <= R_a =
@@ -17,31 +17,6 @@ from .hyp2 import PlanePoint
 
 class CylinderError(ValueError):
     pass
-
-
-class CutCylinder:
-    """Cylinder around a core of length a, cut at hypercycles of length
-    delta_star; a = 0 degenerates to the cusp."""
-
-    def __init__(self, a, delta_star=constants.DELTA_STAR_DEFAULT,
-                 sided="two-sided"):
-        if a < 0 or a >= delta_star:
-            raise CylinderError("need 0 <= a < delta_star")
-        if sided not in ("one-sided", "two-sided"):
-            raise CylinderError("sided must be one-sided or two-sided")
-        self.a = float(a)
-        self.delta_star = float(delta_star)
-        self.sided = sided
-
-    @property
-    def height(self):
-        if self.a == 0.0:
-            return math.inf
-        return math.acosh(self.delta_star / self.a)
-
-    @property
-    def total_height(self):
-        return self.height * (2 if self.sided == "two-sided" else 1)
 
 
 def lift_point(s, r):
@@ -91,15 +66,6 @@ class ModelMap:
         if self.inverse:
             return (s * (self.a1 / self.a2), r * self.R1 / self.R2)
         return (s * (self.a2 / self.a1), r * self.R2 / self.R1)
-
-
-def model_map_eval(a1, R1, a2, R2, point):
-    """Image of a Fermi point plus the two theoretical constants."""
-    m = ModelMap(a1, R1, a2, R2)
-    s, r = point
-    if not (0 <= s < a1) or abs(r) > R1:
-        raise CylinderError("point outside the source cylinder chart")
-    return m.apply(point), m.forward_constant, m.inverse_constant
 
 
 class LipschitzReport:
@@ -231,26 +197,6 @@ def damping_restriction_constant(a, t, D0,
     r = R1 - D0
     stretch = (a2 / a) * math.cosh(r * R2 / R1) / math.cosh(r)
     return max(stretch, R2 / R1)
-
-
-def height_ratio(a, t, delta_star=constants.DELTA_STAR_DEFAULT):
-    """R_a(t) / R_a(0) with R_a(t) = arccosh(delta* e^t / a); >= 1 for t >= 0."""
-    if not 0 < a < delta_star:
-        raise CylinderError("need 0 < a < delta_star")
-    if delta_star * math.exp(t) / a <= 1.0:
-        raise CylinderError("collar degenerates at this t")
-    return math.acosh(delta_star * math.exp(t) / a) / math.acosh(delta_star / a)
-
-
-# negative arguments are folded through |s|; the formula's even extension is
-# a choice, not a theorem, so it is surfaced as a flag
-TWIST_NEGATIVE_USES_ABS = True
-
-
-def twist_singular_value(s):
-    """Top singular value of the differential of the twist flow at unit time."""
-    s = abs(s)
-    return math.sqrt(s * s / 2 + s * math.sqrt(s * s + 4) / 2 + 1)
 
 
 def excursion_depth(a, t, delta_star=constants.DELTA_STAR_DEFAULT):

@@ -20,7 +20,7 @@ class IsometryMatrix:
     Immutable.  The constructor scales to unit determinant and applies the
     canonical sign; products and inverses keep their float entries as
     computed, so the determinant drifts only by rounding (a few ulps per
-    product), and `normalized` restores it.
+    product).
     """
 
     __slots__ = ("m11", "m12", "m21", "m22")
@@ -84,9 +84,6 @@ class IsometryMatrix:
             base = base @ base
             n >>= 1
         return out
-
-    def normalized(self):
-        return IsometryMatrix(self.m11, self.m12, self.m21, self.m22)
 
     def approx_eq(self, other, tol=1e-9):
         """Equality in PSL(2, R): compare up to overall sign."""
@@ -303,7 +300,7 @@ def _ccw_between(a, b, c):
     return 0.0 < rel < span
 
 
-# --- constructors used across modules ---------------------------------------
+# --- constructors and line charts (test oracles) ----------------------------
 
 def translation_along_imaginary_axis(length):
     """Hyperbolic translation i -> e^length i along the imaginary axis."""
@@ -330,23 +327,6 @@ def map_zero_inf_to(p, q):
     if q.value > p.value:
         return IsometryMatrix(q.value, p.value, 1.0, 1.0)
     return IsometryMatrix(q.value, -p.value, 1.0, -1.0)
-
-
-def translation_along(line, length):
-    """Hyperbolic translation of the given length along an oriented geodesic."""
-    g = map_zero_inf_to(line.start, line.end)
-    return g @ translation_along_imaginary_axis(length) @ g.inverse()
-
-
-def foot_parameter(line, p):
-    """Signed position along an oriented geodesic of the projection of p.
-
-    Zero at the line's midpoint marker (image of i under the standard
-    chart); increases toward line.end.
-    """
-    g = map_zero_inf_to(line.start, line.end).inverse()
-    w = mobius_apply(g, p)
-    return math.log(abs(w.z))
 
 
 def distance_to_line(line, p):

@@ -5,15 +5,13 @@ seams into two right hexagons.  Removing the delta_*-collars of the
 boundaries leaves the "shorts", whose hexagons alternate geodesic sides
 (truncated seams, lengths c_i) and hypercycle arcs (lengths delta_*/2).
 
-Everything here stores boundary HALF-lengths a_i; collar and cylinder
-functions take the full core length.  Call sites elsewhere say which one
-they pass.
+Everything here stores boundary HALF-lengths a_i; the cylinder functions
+take the full core length.  Call sites elsewhere say which one they pass.
 """
 
 import math
 
-from . import constants, hyp2
-from .hyp2 import IsometryMatrix, PlanePoint
+from . import constants
 
 
 class PantsError(ValueError):
@@ -80,6 +78,20 @@ def pentagon_residuals(a_k, a_l, t, a1, a2, a3):
     return (a_k + a_l - a1,
             math.sinh(a_k) * math.sinh(t) - math.cosh(a2),
             math.sinh(a_l) * math.sinh(t) - math.cosh(a3))
+
+
+def pentagon_relative_residuals(shape, i):
+    """Pentagon residuals of boundary i's split, relative to the terms they
+    cancel: |a_K + a_L - a_i| / max(1, a_i), |r2| / cosh a2, |r3| / cosh a3.
+
+    Float carries ~1e-16 of cosh a_i, which is above 1e-10 absolute once
+    a_i is ~15.
+    """
+    a_k, a_l, t = solve_pentagon_split(shape, i)
+    a1, a2, a3 = _cyclic(shape, i)
+    add, r2, r3 = pentagon_residuals(a_k, a_l, t, a1, a2, a3)
+    return (abs(add) / max(1.0, a1),
+            abs(r2) / math.cosh(a2), abs(r3) / math.cosh(a3))
 
 
 def _seam_split(a1, a2, a3, m):
@@ -162,16 +174,6 @@ def _shorts_lengths(shape, splits):
                  for i, (a_k, a_l, _, _, _) in enumerate(splits, 1))
 
 
-def shorts_side_lengths(shape):
-    """Geodesic side lengths (c_1, c_2, c_3) of the shorts hexagon.
-
-    Uses the subtraction-free branch, which stays finite down to
-    arbitrarily pinched boundaries.
-    """
-    shape.require_shorts()
-    return _shorts_lengths(shape, _splits(shape))
-
-
 def shorts_side_lengths_subtraction(shape):
     """Naive c_i = c_i' - collar truncations; fine at moderate a, unstable small."""
     shape.require_shorts()
@@ -185,7 +187,11 @@ def shorts_side_lengths_subtraction(shape):
 
 
 def hexagon_data(shape):
-    """All derived hexagon side data for one shorts hexagon."""
+    """All derived hexagon side data for one shorts hexagon.
+
+    The shorts lengths take the subtraction-free branch, which stays finite
+    down to arbitrarily pinched boundaries.
+    """
     shape.require_shorts()
     splits = _splits(shape)
     return HexagonData(seam_lengths=tuple(ck + cl
@@ -194,156 +200,3 @@ def hexagon_data(shape):
                        split_heights=tuple(t for _, _, t, _, _ in splits),
                        shorts_lengths=_shorts_lengths(shape, splits),
                        hypercycle_side=shape.delta_star / 2.0)
-
-
-def collar_height(a, delta_star=constants.DELTA_STAR_DEFAULT):
-    """Distance from a core of length a to its hypercycle of length delta_star."""
-    if a == 0:
-        raise PantsError("cusp has infinite collar")
-    if a > delta_star:
-        raise PantsError("core longer than the calibration hypercycle")
-    return math.acosh(delta_star / a)
-
-
-def offset_length(delta, t, x):
-    """Length of the constant-distance curve pushed t beyond length delta.
-
-    Direct form x cosh(arccosh(delta/x) + t).
-    """
-    if not 0 < x < delta:
-        raise PantsError("need 0 < x < delta")
-    return x * math.cosh(math.acosh(delta / x) + t)
-
-
-def offset_length_expansion(delta, t, x):
-    """Same quantity as delta e^t + sinh(t) g_delta(x), stable as x -> 0."""
-    if not 0 < x < delta:
-        raise PantsError("need 0 < x < delta")
-    g = math.sqrt(delta - x) * math.sqrt(delta + x) - delta
-    return delta * math.exp(t) + math.sinh(t) * g
-
-
-def core_holonomy(a, delta_star=constants.DELTA_STAR_DEFAULT):
-    """Holonomy of the core curve in the hypercycle-normalized chart.
-
-    Valid down to a = 0 (the cusp), where it degenerates to the parabolic
-    with off-diagonal entry delta_star.
-    """
-    if not 0 <= a < delta_star or delta_star > 1:
-        raise PantsError("need 0 <= a < delta_star <= 1")
-    c = math.cosh(a / 2.0)
-    s_over_a = 0.5 if a == 0 else math.sinh(a / 2.0) / a
-    w = delta_star + math.sqrt(delta_star - a) * math.sqrt(delta_star + a)
-    return IsometryMatrix(c, -s_over_a * w,
-                          -a * (math.sinh(a / 2.0) / w if a else 0.0), c,
-                          _normalize=False)
-
-
-def hypercycle_generator(a, delta_star=constants.DELTA_STAR_DEFAULT):
-    """Entries of b(a) with exp(b(a)) = core_holonomy(a)^{-1}.
-
-    b(0) = [[0, delta_star], [0, 0]]; the sign is chosen so the orbit of i
-    moves in the positive direction along the hypercycle.
-    """
-    w = delta_star + math.sqrt(delta_star - a) * math.sqrt(delta_star + a)
-    return (0.0, 0.5 * w, (a * a) / (2.0 * w), 0.0)
-
-
-def hypercycle_point(a, t, delta_star=constants.DELTA_STAR_DEFAULT):
-    """Point Q(a, t) at arc length t from i along the calibrated hypercycle.
-
-    Computed as exp(t b(a)/delta_star) . i in closed form; b(a) squares to
-    (a/2)^2 I, so the exponential needs no series.
-    """
-    if not 0 <= t <= delta_star:
-        raise PantsError("arc parameter t must lie in [0, delta_star]")
-    _, b12, b21, _ = hypercycle_generator(a, delta_star)
-    s = t / delta_star
-    theta = s * a / 2.0
-    ch = math.cosh(theta)
-    # sinh(theta)/(a/2) without dividing by a tiny a
-    u = s if theta == 0 else s * math.sinh(theta) / theta
-    m = IsometryMatrix(ch, u * b12, u * b21, ch, _normalize=False)
-    return hyp2.mobius_apply(m, PlanePoint(0.0, 1.0))
-
-
-# --- shorts hexagon embedding -------------------------------------------------
-
-def _hypercycle_step(length, height, core_side):
-    """Frame advance along a hypercycle arc of the given arc length.
-
-    The core geodesic sits at distance `height` on the stated side of the
-    direction of motion; the arc curves toward it.
-    """
-    quarter = math.pi / 2.0
-    sgn = 1.0 if core_side == "left" else -1.0
-    f0 = hyp2.rotation_at_i(-sgn * quarter) \
-        @ hyp2.translation_along_imaginary_axis(height) \
-        @ hyp2.rotation_at_i(sgn * quarter)
-    step = hyp2.translation_along_imaginary_axis(length / math.cosh(height))
-    return f0.inverse() @ step @ f0
-
-
-def embed_hexagon_boundary(shape):
-    """Normalized embedding of the shorts hexagon boundary.
-
-    Returns the six (corner point, side tag) pairs in traversal order,
-    starting at i between beta_1 and zeta_3, with zeta_3 leaving i along
-    the positive imaginary axis.  Sides tagged zeta_k are geodesic of
-    length c_k; sides tagged beta_k are hypercycle arcs of length
-    delta_*/2 about boundary k.
-    """
-    frames = _boundary_frames(shape)
-    return [(hyp2.mobius_apply(g, PlanePoint(0.0, 1.0)), tag)
-            for g, tag in frames]
-
-
-def _boundary_frames(shape):
-    """Frame at the start corner of each side, with its tag, in order."""
-    shape.require_shorts()
-    c1, c2, c3 = shorts_side_lengths(shape)
-    d = shape.delta_star
-    heights = [math.acosh(d / (2.0 * a)) for a in shape.half_lengths]
-    quarter = math.pi / 2.0
-    # traversal: zeta3, beta2, zeta1, beta3, zeta2, beta1; left turns at the
-    # corners, interior on the left, hypercycle cores outside on the right
-    plan = [("zeta3", c3, None), ("beta2", d / 2.0, heights[1]),
-            ("zeta1", c1, None), ("beta3", d / 2.0, heights[2]),
-            ("zeta2", c2, None), ("beta1", d / 2.0, heights[0])]
-    g = IsometryMatrix.identity()
-    out = []
-    for tag, length, height in plan:
-        out.append((g, tag))
-        if height is None:
-            g = g @ hyp2.translation_along_imaginary_axis(length)
-        else:
-            g = g @ _hypercycle_step(length, height, "right")
-        g = g @ hyp2.rotation_at_i(quarter)
-    return out
-
-
-def boundary_path_points(shape, per_side=8):
-    """Sampled points along the embedded shorts boundary.
-
-    Samples each side at per_side proportional arc-length fractions, so two
-    shapes' samples correspond under the side-affine boundary map.
-    """
-    shape.require_shorts()
-    c1, c2, c3 = shorts_side_lengths(shape)
-    d = shape.delta_star
-    heights = [math.acosh(d / (2.0 * a)) for a in shape.half_lengths]
-    frames = _boundary_frames(shape)
-    lengths = {"zeta1": c1, "zeta2": c2, "zeta3": c3,
-               "beta1": d / 2.0, "beta2": d / 2.0, "beta3": d / 2.0}
-    hmap = {"beta1": heights[0], "beta2": heights[1], "beta3": heights[2]}
-    pts = []
-    for g, tag in frames:
-        total = lengths[tag]
-        for k in range(per_side):
-            frac = k / per_side
-            if tag.startswith("zeta"):
-                step = hyp2.translation_along_imaginary_axis(frac * total)
-            else:
-                step = _hypercycle_step(frac * total, hmap[tag], "right")
-            pts.append(hyp2.mobius_apply(g @ step, PlanePoint(0.0, 1.0)))
-    return pts

@@ -16,10 +16,10 @@ survive that for short cuffs, so the holonomy core runs in mpmath extended
 precision.  Lengths and holonomies leave it as floats; the lift search
 conjugates the 80-digit generators into its axis chart before it rounds
 them.  The float views of the pants geometry (axes, feet, seam lines,
-vertices, X) are read only by tests.
+vertices, X) are built on every build although only tests read them, and
+building them raises Hyp2Error once a cuff is below about 2e-6, where two
+float endpoints coincide (the bench's known defect 1).
 """
-
-import json
 
 import mpmath
 
@@ -148,25 +148,6 @@ class FNCoordinates:
     @property
     def untwisted(self):
         return all(t == 0.0 for t in self.twists)
-
-
-def decomposition_from_json(text):
-    """Parse the {"genus", "pants", "edges", "lengths", "twists"} schema."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SurfaceError("malformed JSON: line %d column %d"
-                           % (exc.lineno, exc.colno)) from exc
-    for key in ("genus", "pants", "edges", "lengths"):
-        if key not in data:
-            raise SurfaceError("missing field %r" % key)
-    decomp = PantsDecomposition(data["pants"], [tuple(e) for e in data["edges"]])
-    if decomp.genus != data["genus"]:
-        raise SurfaceError("genus field does not match the graph")
-    coords = FNCoordinates(data["lengths"], data.get("twists"))
-    if len(coords.lengths) != len(decomp.curve_edges):
-        raise SurfaceError("need one length per edge")
-    return decomp, coords
 
 
 # --- extended-precision 2x2 helpers -------------------------------------------

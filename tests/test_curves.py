@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from teichlab import curves
 from teichlab.curves import (
-    ConjClass, CurvesError, PantsWord, canonical_cyclic_form, cyclic_reduce,
-    enumerate_conj_classes, pants_word_runs,
+    ConjClass, CurvesError, canonical_cyclic_form, cyclic_reduce,
+    enumerate_conj_classes,
 )
 
 
@@ -129,41 +129,6 @@ def test_word_text_round_trip():
 
 # --- pants words ---------------------------------------------------------------
 
-def test_pants_word_validation():
-    with pytest.raises(CurvesError):
-        PantsWord("xxy")
-    with pytest.raises(CurvesError):
-        PantsWord("xyzx", cyclic=True)
-    with pytest.raises(CurvesError):
-        PantsWord("xw")
-    with pytest.raises(CurvesError):
-        PantsWord("")
-    assert PantsWord("xyzx").text() == "xyzx"
-
-
-def test_runs_pure_power_is_peripheral():
-    runs, peripheral = pants_word_runs(PantsWord("xyxyxy", cyclic=True))
-    assert runs == [("xy", 3.0)]
-    assert peripheral
-
-
-def test_runs_length_one_only():
-    runs, peripheral = pants_word_runs(PantsWord("xyzx"))
-    assert runs == [("xy", 1.0), ("yz", 1.0), ("zx", 1.0)]
-    assert not peripheral
-
-
-def test_runs_single_letter():
-    runs, peripheral = pants_word_runs(PantsWord("x"))
-    assert runs == [] and not peripheral
-
-
-def test_boundary_words_flagged():
-    for label, tag in (("a", "yz"), ("b", "zx"), ("c", "xy")):
-        runs, peripheral = pants_word_runs(curves.pants_boundary_word(label, 3))
-        assert peripheral and runs == [(tag, 3.0)]
-
-
 def quadratic_run_oracle(letters):
     """All maximal alternating windows, found by brute-force window checks."""
     n = len(letters)
@@ -178,48 +143,3 @@ def quadratic_run_oracle(letters):
             if not left_ext and not right_ext:
                 windows.append((i, j))
     return windows
-
-
-def test_runs_cover_word_with_single_letter_overlaps():
-    rng = random.Random(37)
-    for _ in range(100):
-        letters = []
-        while len(letters) < 20:
-            ch = rng.choice("xyz")
-            if letters and letters[-1] == ch:
-                continue
-            letters.append(ch)
-        w = PantsWord(letters)
-        runs, _ = pants_word_runs(w)
-        # coverage: runs overlap in exactly one shared letter
-        total = sum(int(2 * h) for _, h in runs)
-        assert total - (len(runs) - 1) == len(letters)
-        oracle = quadratic_run_oracle(letters)
-        assert len(runs) == len(oracle)
-        for (tag, h), (i, j) in zip(runs, oracle):
-            assert 2 * h == j - i
-            assert tag == curves._PAIR_TAGS[frozenset(letters[i:i + 2])]
-
-
-def test_cyclic_runs_cover_all_pairs():
-    rng = random.Random(41)
-    for _ in range(100):
-        letters = []
-        while len(letters) < 15:
-            ch = rng.choice("xyz")
-            if letters and letters[-1] == ch:
-                continue
-            if len(letters) == 14 and ch == letters[0]:
-                continue
-            letters.append(ch)
-        w = PantsWord(letters, cyclic=True)
-        runs, peripheral = pants_word_runs(w)
-        if peripheral:
-            continue
-        # each of the n cyclic pairs belongs to exactly one run
-        assert sum(int(2 * h) - 1 for _, h in runs) == len(letters)
-
-
-def test_reduced_pants_words_counts():
-    assert len(curves.reduced_pants_words(3)) == 3 + 6 + 12
-    assert len(curves.reduced_pants_words(3, cyclic=True)) == 3 + 6 + 6

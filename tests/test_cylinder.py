@@ -7,10 +7,9 @@ import pytest
 
 from teichlab import constants, cylinder, hyp2
 from teichlab.cylinder import (
-    CutCylinder, CylinderError, ModelMap, cusp_rotation_check, damping_profile,
-    damping_restriction_constant, excursion_depth, height_ratio, lift_point,
-    model_map_eval, ratio_residue_check, sampled_lipschitz, spiral_residue,
-    twist_singular_value,
+    CylinderError, ModelMap, cusp_rotation_check, damping_profile,
+    damping_restriction_constant, excursion_depth, lift_point,
+    ratio_residue_check, sampled_lipschitz, spiral_residue,
 )
 
 CORE_LINE = hyp2.GeodesicLine(hyp2.BoundaryPoint(0.0), hyp2.BoundaryPoint.inf())
@@ -41,24 +40,6 @@ def min_distance_to_core(line, lo, hi):
 
 # --- cut cylinders -------------------------------------------------------------
 
-def test_cut_cylinder_validation():
-    with pytest.raises(CylinderError):
-        CutCylinder(-0.1)
-    with pytest.raises(CylinderError):
-        CutCylinder(1.5, delta_star=1.0)
-    with pytest.raises(CylinderError):
-        CutCylinder(0.5, sided="three-sided")
-
-
-def test_cut_cylinder_heights():
-    c = CutCylinder(0.1, delta_star=1.0)
-    assert c.height == pytest.approx(math.acosh(10.0), rel=1e-15)
-    assert c.total_height == pytest.approx(2 * math.acosh(10.0), rel=1e-15)
-    one = CutCylinder(0.1, sided="one-sided")
-    assert one.total_height == pytest.approx(math.acosh(10.0), rel=1e-15)
-    assert CutCylinder(0.0).height == math.inf
-
-
 def test_lift_point_is_isometric_on_core():
     # core arcs: Fermi s-difference equals hyperbolic distance
     assert hyp2.distance(lift_point(0.0, 0.0), lift_point(0.7, 0.0)) == \
@@ -84,22 +65,22 @@ def test_fermi_distance_matches_lifted_points():
 # --- model maps ----------------------------------------------------------------
 
 def test_model_map_eval_values():
-    image, fwd, inv = model_map_eval(0.5, 2.0, 1.0, 1.5, (0.25, 1.0))
-    assert image == pytest.approx((0.5, 0.75), rel=1e-15)
-    assert fwd == pytest.approx(2.0, rel=1e-15)
-    assert inv == pytest.approx(
+    m = ModelMap(0.5, 2.0, 1.0, 1.5)
+    assert m.apply((0.25, 1.0)) == pytest.approx((0.5, 0.75), rel=1e-15)
+    assert m.forward_constant == pytest.approx(2.0, rel=1e-15)
+    assert m.inverse_constant == pytest.approx(
         max(2.0 / 1.5, 0.5 * math.cosh(2.0) / (1.0 * math.cosh(1.5))), rel=1e-15)
 
 
 def test_model_map_eval_domain_errors():
     with pytest.raises(CylinderError):
-        model_map_eval(0.5, 2.0, 1.0, 1.5, (0.6, 0.0))
-    with pytest.raises(CylinderError):
-        model_map_eval(0.5, 2.0, 1.0, 1.5, (0.1, 2.5))
-    with pytest.raises(CylinderError):
         ModelMap(1.0, 2.0, 0.5, 1.5)   # shrinking core
     with pytest.raises(CylinderError):
         ModelMap(0.5, 1.5, 1.0, 2.0)   # growing height
+    with pytest.raises(CylinderError):
+        ModelMap(0.0, 2.0, 1.0, 1.5)   # degenerate core
+    with pytest.raises(CylinderError):
+        ModelMap(0.5, 2.0, 1.0, 0.0)   # degenerate height
 
 
 def test_identity_map_sampled_sup_is_one():
@@ -215,38 +196,6 @@ def test_damping_negative_time_nonnegative():
 
 
 # --- height ratio and twisting -------------------------------------------------
-
-def test_height_ratio_basics():
-    assert height_ratio(0.3, 0.0) == pytest.approx(1.0, rel=1e-15)
-    a, t = 0.1, 1.0
-    oracle = math.acosh(math.e / a) / math.acosh(1.0 / a)
-    assert height_ratio(a, t) == pytest.approx(oracle, rel=1e-14)
-    with pytest.raises(CylinderError):
-        height_ratio(0.5, -1.0)
-
-
-def test_height_ratio_tends_to_one_under_pinching():
-    vals = [height_ratio(10.0 ** -k, 1.0) for k in range(1, 9)]
-    assert all(v >= 1.0 for v in vals)
-    assert all(u >= v for u, v in zip(vals, vals[1:]))
-    # convergence is logarithmic: ratio - 1 ~ t / |log a|
-    assert vals[-1] - 1.0 < (vals[0] - 1.0) / 4
-
-
-def test_twist_singular_value_against_svd():
-    assert twist_singular_value(0.0) == 1.0
-    shear_top = np.linalg.svd(np.array([[1.0, 1.0], [0.0, 1.0]]),
-                              compute_uv=False)[0]
-    assert twist_singular_value(1.0) == pytest.approx(shear_top, rel=1e-13)
-
-
-def test_twist_singular_value_monotone_and_even():
-    grid = [0.1 * k for k in range(51)]
-    vals = [twist_singular_value(s) for s in grid]
-    assert all(u < v for u, v in zip(vals, vals[1:]))
-    assert cylinder.TWIST_NEGATIVE_USES_ABS
-    assert twist_singular_value(-2.0) == twist_singular_value(2.0)
-
 
 # --- excursion depth -----------------------------------------------------------
 

@@ -241,8 +241,10 @@ def test_distance_symmetry_property(x1, x2, y1, y2):
 
 
 def test_translation_along_arbitrary_line():
+    # conjugate the axis translation by the chart of the line
     line = geodesic(-2.0, 3.0)
-    m = hyp2.translation_along(line, 0.7)
+    g = hyp2.map_zero_inf_to(line.start, line.end)
+    m = g @ hyp2.translation_along_imaginary_axis(0.7) @ g.inverse()
     tl = translation_length(m)
     assert abs(tl.length - 0.7) < 1e-12
     ax = axis_endpoints(m)
@@ -253,7 +255,13 @@ def test_translation_along_arbitrary_line():
 def test_foot_parameter_and_point_on_line():
     line = GeodesicLine(BoundaryPoint(0.0), BoundaryPoint.inf())
     p = hyp2.point_on_line(line, 0.9)
-    assert abs(hyp2.foot_parameter(line, p) - 0.9) < 1e-12
+    # on the imaginary axis the foot parameter of p is log |p|
+    assert abs(p.x) < 1e-12 and abs(p.y - math.exp(0.9)) < 1e-12
+    # on another line, pull back by its chart and read log |w|
+    other = geodesic(-2.0, 3.0)
+    g = hyp2.map_zero_inf_to(other.start, other.end)
+    w = mobius_apply(g.inverse(), hyp2.point_on_line(other, 0.9))
+    assert abs(w.x) < 1e-12 and abs(math.log(abs(w.z)) - 0.9) < 1e-12
     assert abs(hyp2.distance_to_line(line, p)) < 1e-12
     q = PlanePoint(1.0, 1.0)
     # distance from i+1 to the imaginary axis is arcsinh(1)

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from teichlab import curves, hyp2, pants, surface
 from teichlab.surface import (
     FNCoordinates, MarkedSurface, PantsDecomposition, SurfaceError,
-    build_holonomy, builtin_genus2_convenient, decomposition_from_json,
+    build_holonomy, builtin_genus2_convenient,
 )
 
 
@@ -60,32 +59,6 @@ def test_disconnected_graph_is_structural_error():
     d = PantsDecomposition([0, 1, 2, 3], edges)
     with pytest.raises(SurfaceError):
         build_holonomy(d, FNCoordinates([1.0] * 6))
-
-
-def test_json_round_trip():
-    text = json.dumps({
-        "genus": 2, "pants": [0, 1],
-        "edges": [[0, 1, 1, 1], [0, 2, 1, 2], [0, 3, 1, 3]],
-        "lengths": [0.5, 0.6, 0.7], "twists": [0.1, 0.0, -0.2],
-    })
-    decomp, coords = decomposition_from_json(text)
-    assert decomp.convenient
-    assert coords.lengths == [0.5, 0.6, 0.7]
-    s = build_holonomy(decomp, coords)
-    assert abs(s.curve_length("a") - 0.5) < 1e-12
-
-
-def test_json_errors():
-    with pytest.raises(SurfaceError, match="line"):
-        decomposition_from_json("{ not json }")
-    good = {"genus": 3, "pants": [0, 1],
-            "edges": [[0, 1, 1, 1], [0, 2, 1, 2], [0, 3, 1, 3]],
-            "lengths": [1, 1, 1]}
-    with pytest.raises(SurfaceError, match="genus"):
-        decomposition_from_json(json.dumps(good))
-    del good["edges"]
-    with pytest.raises(SurfaceError, match="missing"):
-        decomposition_from_json(json.dumps(good))
 
 
 def test_fn_coordinates_validation():
