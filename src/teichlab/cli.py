@@ -317,8 +317,7 @@ def cmd_cones_designer(args, rep):
     if not cone.interior_ones:
         raise UsageError("hypothesis violated: (1, ..., 1) must be "
                          "interior to the cone")
-    spec = cones.designer_lengths(cone, cone.n, args.total_curves,
-                                  args.scale)
+    spec = cones.designer_lengths(cone, args.total_curves, args.scale)
     rep.file("designer_lengths.json",
              json.dumps({"rows": [list(r) for r in spec.rows]},
                         sort_keys=True) + "\n")

@@ -10,8 +10,10 @@ product representation, which that accumulation needs, is assumed, not
 proven.
 """
 
+import itertools
 import json
 import math
+import sys
 
 from . import combinat, constants, curves
 from . import surface as surface_mod
@@ -125,109 +127,61 @@ def _jordan_vectors(surfaces, classes):
         yield JordanVector(comps, word)
 
 
-# --- hulls on the simplex slice ------------------------------------------------
+# --- the cone over the rows -----------------------------------------------------
 
 
-def _hull_indices_2d(points):
-    """Monotone-chain hull of 2D points, counterclockwise, no duplicates."""
-    idx = sorted(range(len(points)), key=lambda i: points[i])
-    uniq = []
-    for i in idx:
-        if not uniq or _norm([a - b for a, b in
-                              zip(points[i], points[uniq[-1]])]) > 1e-12:
-            uniq.append(i)
-    if len(uniq) < 3:
-        return uniq
-
-    def cross(o, a, b):
-        return ((points[a][0] - points[o][0]) * (points[b][1] - points[o][1])
-                - (points[a][1] - points[o][1])
-                * (points[b][0] - points[o][0]))
-
-    lower = []
-    for i in uniq:
-        while len(lower) > 1 and cross(lower[-2], lower[-1], i) <= 1e-14:
-            lower.pop()
-        lower.append(i)
-    upper = []
-    for i in reversed(uniq):
-        while len(upper) > 1 and cross(upper[-2], upper[-1], i) <= 1e-14:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
+def _cofactor(vectors):
+    """Generalized cross product of n - 1 vectors: v . it = det(v, *them)."""
+    out = []
+    for i in range(len(vectors) + 1):
+        minor = [v[:i] + v[i + 1:] for v in vectors]
+        d = _dot(minor[0], _cofactor(minor[1:])) if minor else 1.0
+        # 0.0 - d, not -d: a zero entry is +0.0, as in a difference
+        out.append(d if i % 2 == 0 else 0.0 - d)
+    return tuple(out)
 
 
-def _hull_3d(points):
-    """Incremental hull of 3D points; returns outward faces (index triples)."""
-    m = len(points)
-    if m < 4:
-        raise ConesError("cone has empty interior")
+def _facets(dirs):
+    """Facets of the cone over unit directions: indices on it -> normal.
 
-    def sub(a, b):
-        return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-    def cross3(a, b):
-        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0])
-
-    def signed(face, p):
-        a, b, c = (points[i] for i in face)
-        nrm = cross3(sub(b, a), sub(c, a))
-        return _dot(nrm, sub(p, a))
-
-    # seed simplex: four points in general position
-    seed = None
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                for l in range(k + 1, m):
-                    if abs(signed((i, j, k), points[l])) > 1e-12:
-                        seed = [i, j, k, l]
-                        break
-                if seed:
-                    break
-            if seed:
-                break
-        if seed:
-            break
-    if seed is None:
-        raise ConesError("cone has empty interior")
-    i, j, k, l = seed
-    faces = [(i, j, k), (i, j, l), (i, k, l), (j, k, l)]
-    centroid = tuple(sum(points[v][c] for v in seed) / 4.0 for c in range(3))
-    faces = [f if signed(f, centroid) < 0 else (f[0], f[2], f[1])
-             for f in faces]
-
-    for p in range(m):
-        if p in seed:
+    Each n - 1 directions give a cofactor c, oriented toward them and kept
+    when none is below by over 1e-12 + n eps / |c| (the rounding of c/|c|)
+    unless it holds only some of another's.  Normals keep their length."""
+    n = len(dirs[0])
+    facets = {}
+    for subset in itertools.combinations(dirs, n - 1):
+        c = _cofactor(subset)
+        size = _norm(c)
+        if size <= 1e-12:
             continue
-        visible = [f for f in faces if signed(f, points[p]) > 1e-12]
-        if not visible:
-            continue
-        horizon = []
-        visible_set = set(visible)
-        for f in visible:
-            for e in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-                # an edge is on the horizon if its mirrored copy belongs
-                # to no visible face
-                mirrored = False
-                for g in visible_set:
-                    if g is f:
-                        continue
-                    edges = ((g[0], g[1]), (g[1], g[2]), (g[2], g[0]))
-                    if (e[1], e[0]) in edges:
-                        mirrored = True
-                        break
-                if not mirrored:
-                    horizon.append(e)
-        faces = [f for f in faces if f not in visible_set]
-        for e in horizon:
-            faces.append((e[0], e[1], p))
-    return faces
+        nrm = _unit(c)
+        tol = 1e-12 + n * sys.float_info.epsilon / size
+        lo = hi = 0.0
+        for d in dirs:
+            x = _dot(nrm, d)
+            lo, hi = min(lo, x), max(hi, x)
+            if lo < -tol and hi > tol:
+                break  # directions on both sides
+        else:
+            if lo < -tol:
+                # 0.0 - x, not -x: a zero entry stays +0.0
+                c = tuple(0.0 - x for x in c)
+            if max(hi, -lo) > tol:
+                on = frozenset(j for j, d in enumerate(dirs)
+                               if abs(_dot(nrm, d)) <= tol)
+                facets.setdefault(on, c)
+    return {on: f for on, f in facets.items()
+            if not any(on < other for other in facets)}
 
 
 def cone_over_hull(L):
-    """Polyhedral cone over the rows of L, via the simplex slice hull."""
+    """Polyhedral cone over the rows of L, by facet enumeration.
+
+    A row is a vertex when the normals of the facets through it have rank
+    n - 1.  For n = 3 the vertices run counterclockwise in the slice
+    coordinates (p0 - p2, p1 - p2) from the least point, and facet k joins
+    vertex k to k + 1; for other n both keep the order of the rows.
+    """
     if isinstance(L, ConeSpecL):
         rows = L.rows
     else:
@@ -235,80 +189,48 @@ def cone_over_hull(L):
         if any(v <= 0.0 for row in rows for v in row):
             raise ConesError("rows must be strictly positive directions")
     n = len(rows[0])
-    if n not in (2, 3, 4):
-        raise ConesError("supported factor counts are 2, 3, 4")
-    dirs = [_unit(r) for r in rows]
+    if n < 2:
+        raise ConesError("a cone needs at least 2 factors")
+    units = [_unit(r) for r in rows]
+    # grow a cone over extreme rows (in a slice coordinate, or farthest
+    # below one of its facets); rows over 1e-9 inside it lie on no facet
+    seeds = {max(units, key=lambda u: s * u[c] / sum(u))
+             for c in range(n) for s in (1.0, -1.0)}
+    while len(seeds) < len(units):
+        inner = _facets(list(seeds)).values()
+        units = [u for u in units
+                 if not inner or any(_dot(f, u) <= 1e-9 for f in inner)]
+        low = [(f, min(units, key=lambda u: _dot(f, u))) for f in inner]
+        far = {u for f, u in low if _dot(f, u) < -1e-12} - seeds
+        if not far:
+            break
+        seeds |= far
+    dirs = []
+    for u in units:
+        if all(_norm([a - b for a, b in zip(u, d)]) > 1e-12 for d in dirs):
+            dirs.append(u)
+    facets = {on: _unit(f) for on, f in _facets(dirs).items()}
+    if not facets:
+        raise ConesError("cone has empty interior")
 
-    if n == 2:
-        slopes = [(math.atan2(d[1], d[0]), i) for i, d in enumerate(dirs)]
-        lo = min(slopes)[1]
-        hi = max(slopes)[1]
-        if abs(min(slopes)[0] - max(slopes)[0]) < 1e-12:
-            raise ConesError("cone has empty interior")
-        verts = [dirs[lo], dirs[hi]]
-        normals = [_unit((-dirs[lo][1], dirs[lo][0])),
-                   _unit((dirs[hi][1], -dirs[hi][0]))]
-        cone = PolyCone(verts, normals, False)
-    elif n == 3:
-        slice_pts = [tuple(v / sum(r) for v in r) for r in rows]
-        planar = [(p[0] - p[2], p[1] - p[2]) for p in slice_pts]
-        hull = _hull_indices_2d(planar)
-        if len(hull) < 3:
-            raise ConesError("cone has empty interior")
-        verts = [dirs[i] for i in hull]
-        normals = []
-        k = len(verts)
-        inner = tuple(sum(v[c] for v in verts) / k for c in range(3))
-        for a, b in zip(verts, verts[1:] + verts[:1]):
-            nrm = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                   a[0] * b[1] - a[1] * b[0])
-            if _dot(nrm, inner) < 0:
-                nrm = tuple(-x for x in nrm)
-            normals.append(_unit(nrm))
-        cone = PolyCone(verts, normals, False)
-    else:
-        slice_pts = [tuple(v / sum(r) for v in r) for r in rows]
-        affine = [(p[0] - p[3], p[1] - p[3], p[2] - p[3]) for p in slice_pts]
-        faces = _hull_3d(affine)
-        used = sorted({i for f in faces for i in f})
-        verts = [dirs[i] for i in used]
-        normals = []
-        inner = tuple(sum(dirs[i][c] for i in used) / len(used)
-                      for c in range(4))
-        seen = set()
-        for f in faces:
-            triple = tuple(dirs[i] for i in f)
-            nrm = _cofactor4(triple)
-            if _dot(nrm, inner) < 0:
-                nrm = tuple(-x for x in nrm)
-            nrm = _unit(nrm)
-            key = tuple(round(x, 9) for x in nrm)
-            if key not in seen:
-                seen.add(key)
-                normals.append(nrm)
-        cone = PolyCone(verts, normals, False)
-
-    ones = _unit((1.0,) * n)
-    interior = all(_dot(f, ones) > 1e-12 for f in cone.facet_normals)
-    return PolyCone(cone.vertex_directions, cone.facet_normals, interior)
-
-
-def _cofactor4(triple):
-    """Vector orthogonal to three 4-vectors: cofactor expansion."""
-    a, b, c = triple
-
-    def det3(m):
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-    out = []
-    for i in range(4):
-        cols = [j for j in range(4) if j != i]
-        minor = [[a[j] for j in cols], [b[j] for j in cols],
-                 [c[j] for j in cols]]
-        out.append(((-1) ** i) * det3(minor))
-    return tuple(out)
+    # rank n - 1: some n - 1 of the normals through the row are independent
+    verts = [j for j in range(len(dirs)) if any(
+        _norm(_cofactor(sub)) > 1e-12 for sub in itertools.combinations(
+            [f for on, f in facets.items() if j in on], n - 1))]
+    normals = list(facets.values())
+    if n == 3:
+        simplex = {j: [x / sum(dirs[j]) for x in dirs[j]] for j in verts}
+        xy = {j: (p[0] - p[2], p[1] - p[2]) for j, p in simplex.items()}
+        # by angle about the centroid; facet k: through k, nearest to k + 1
+        x0, y0 = (sum(c) / len(verts) for c in zip(*xy.values()))
+        verts.sort(key=lambda j: math.atan2(xy[j][1] - y0, xy[j][0] - x0))
+        k = verts.index(min(verts, key=xy.get))
+        verts = verts[k:] + verts[:k]
+        normals = [min((f for on, f in facets.items() if a in on),
+                       key=lambda f: abs(_dot(f, dirs[b])))
+                   for a, b in zip(verts, verts[1:] + verts[:1])]
+    interior = all(_dot(f, _unit((1.0,) * n)) > 1e-12 for f in normals)
+    return PolyCone([dirs[j] for j in verts], normals, interior)
 
 
 # --- membership and verification ------------------------------------------------
@@ -378,7 +300,7 @@ def verify_limit_cone(surfaces, family, tol_angular=1e-2):
     }
 
 
-def designer_lengths(cone, n, total_curves, scale):
+def designer_lengths(cone, total_curves, scale):
     """Length matrix whose limit cone is the prescribed one.
 
     The first k rows scale the cone's vertex directions; the remaining
@@ -386,7 +308,7 @@ def designer_lengths(cone, n, total_curves, scale):
     redundant.
     """
     k = len(cone.vertex_directions)
-    if not n <= k <= total_curves:
+    if not cone.n <= k <= total_curves:
         raise ConesError("need n <= vertex count <= curve count")
     if not cone.interior_ones:
         raise ConesError("diagonal direction must be interior to the cone")

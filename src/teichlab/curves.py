@@ -5,13 +5,18 @@ words in the four marking generators, identified under rotation and
 inversion.  Relator-equivalent duplicates are not quotiented (no conjugacy
 solver); downstream experiments collapse them by length/rotation
 fingerprints instead.
-"""
 
-from . import surface
+Word text writes generator i as the i-th letter of "abcd" and its inverse
+in uppercase; this module is the one place that reads and writes it.
+"""
 
 
 class CurvesError(ValueError):
     pass
+
+
+# generator letters of the builtin genus-2 marking; uppercase is the inverse
+GENUS2_GENERATORS = "abcd"
 
 
 # word letters are signed generator indices; the lexicographic order is
@@ -24,8 +29,25 @@ def _word_key(word):
     return tuple(_letter_key(v) for v in word)
 
 
+def word_from_text(text):
+    """Word text: lowercase = generator, uppercase = inverse, left to right."""
+    out = []
+    for ch in text:
+        idx = GENUS2_GENERATORS.find(ch.lower())
+        if idx < 0:
+            raise CurvesError("unknown generator letter %r" % ch)
+        out.append(-(idx + 1) if ch.isupper() else idx + 1)
+    if not out:
+        raise CurvesError("empty word")
+    return tuple(out)
+
+
 def word_to_text(word):
-    return surface.format_word(word)
+    out = []
+    for v in word:
+        ch = GENUS2_GENERATORS[abs(v) - 1]
+        out.append(ch.upper() if v < 0 else ch)
+    return "".join(out)
 
 
 def _as_word(cls):
@@ -33,7 +55,7 @@ def _as_word(cls):
     if isinstance(cls, ConjClass):
         return cls.word
     if isinstance(cls, str):
-        return surface.parse_word(cls)
+        return word_from_text(cls)
     return tuple(cls)
 
 

@@ -23,7 +23,7 @@ float endpoints coincide (the bench's known defect 1).
 
 import mpmath
 
-from . import pants
+from . import curves, pants
 from .hyp2 import BoundaryPoint, GeodesicLine, IsometryMatrix, PlanePoint
 
 _DPS = 80
@@ -296,33 +296,11 @@ def _glue_map(geom_near, k_near, geom_far, k_far, twist):
 
 # --- the marked surface --------------------------------------------------------
 
-GENUS2_GENERATORS = "abcd"
 # one-relator presentation from the two-pants gluing: a, b are two boundary
 # holonomies of the near pants, c and d the stable letters of edges 2 and 3
 GENUS2_RELATOR = "dCbcaDBA"
 GENUS2_CURVE_WORDS = ["a", "b", "BA"]
 GENUS2_SEAM_WORDS = ["dCb", "DBA", "ca"]
-
-
-def parse_word(word):
-    """Word text: lowercase = generator, uppercase = inverse, left to right."""
-    out = []
-    for ch in word:
-        idx = GENUS2_GENERATORS.find(ch.lower())
-        if idx < 0:
-            raise SurfaceError("unknown generator letter %r" % ch)
-        out.append(-(idx + 1) if ch.isupper() else idx + 1)
-    if not out:
-        raise SurfaceError("empty word")
-    return tuple(out)
-
-
-def format_word(letters):
-    out = []
-    for v in letters:
-        ch = GENUS2_GENERATORS[abs(v) - 1]
-        out.append(ch.upper() if v < 0 else ch)
-    return "".join(out)
 
 
 class MarkedSurface:
@@ -332,8 +310,8 @@ class MarkedSurface:
     """
 
     def __init__(self, decomposition, coords, mp_generators, generator_names,
-                 curve_words, seam_words, mp_curve_matrices, placements,
-                 geoms, relator_residual):
+                 curve_words, seam_words, placements, geoms,
+                 relator_residual):
         self.decomposition = decomposition
         self.coords = coords
         # signed letter -> extended-precision matrix, inverses formed once
@@ -345,14 +323,13 @@ class MarkedSurface:
         self.generator_names = generator_names
         self.curve_words = curve_words
         self.seam_words = seam_words
-        self.curve_matrices = [_to_float_matrix(m) for m in mp_curve_matrices]
         self.placements = placements
         self.geoms = geoms
         self.relator_residual = relator_residual
 
     def _mp_holonomy(self, word):
         if isinstance(word, str):
-            word = parse_word(word)
+            word = curves.word_from_text(word)
         m = _MP_ID
         for v in word:
             m = _mul(m, self._mp_letters[v])
@@ -403,8 +380,6 @@ class MarkedSurface:
         does this); any order gives the same traces.  This fold is the one
         place where length batches form prefix products.
         """
-        from . import curves  # curves imports this module
-
         letters = self._mp_letters
         out = []
         with mpmath.workdps(_DPS):
@@ -415,7 +390,7 @@ class MarkedSurface:
             prev = ()
             for word in words:
                 if isinstance(word, str):
-                    word = parse_word(word)
+                    word = curves.word_from_text(word)
                 word = curves.cyclic_reduce(word)
                 if not word:
                     out.append(SurfaceError(
@@ -515,8 +490,8 @@ def build_holonomy(decomposition, coords):
             decomposition, geoms, stable, curve_matrices)
 
         surf = MarkedSurface(decomposition, coords, mp_generators, names,
-                             curve_words, seam_words, curve_matrices,
-                             placements, geoms, worst)
+                             curve_words, seam_words, placements, geoms,
+                             worst)
         if curve_words is not None:
             worst = max(worst, _identity_residual_mp(
                 surf._mp_holonomy(GENUS2_RELATOR)))
@@ -545,5 +520,5 @@ def _genus2_marking(decomposition, geoms, stable, curve_matrices):
     stable_idx = sorted(stable)
     generators = [geoms[root]._X[1], geoms[root]._X[2],
                   stable[stable_idx[0]], stable[stable_idx[1]]]
-    return (generators, list(GENUS2_GENERATORS), list(GENUS2_CURVE_WORDS),
-            list(GENUS2_SEAM_WORDS))
+    return (generators, list(curves.GENUS2_GENERATORS),
+            list(GENUS2_CURVE_WORDS), list(GENUS2_SEAM_WORDS))

@@ -317,7 +317,7 @@ def test_criterion_12_designer_cone_roundtrip(dec):
             cone = cones.cone_over_hull(rows)
         except cones.ConesError:
             cone = None
-    spec = cones.designer_lengths(cone, 3, 3, 1e-3)
+    spec = cones.designer_lengths(cone, 3, 1e-3)
     surfaces = [surface.build_holonomy(
         dec, surface.FNCoordinates([spec.rows[i][j] for i in range(3)]))
         for j in range(3)]

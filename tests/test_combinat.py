@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teichlab import combinat, curves, hyp2, surface
+from teichlab import combinat, hyp2, surface
 from teichlab.combinat import (
     CombinatError, HexagonSystem, classify_and_rotate, combinatorial_rotation,
     distortion_check, distortion_csv_rows, intersection_sequence,

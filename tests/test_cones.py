@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,7 +105,14 @@ def test_degenerate_span_errors():
 
 
 def test_unsupported_dimension():
-    with pytest.raises(cones.ConesError, match="2, 3, 4"):
+    with pytest.raises(cones.ConesError, match="at least 2 factors"):
+        cones.cone_over_hull([[0.1], [0.2]])
+    simplex = [[0.9 if i == j else 0.1 for j in range(5)] for i in range(5)]
+    cone = cones.cone_over_hull(simplex)
+    assert len(cone.vertex_directions) == 5
+    assert len(cone.facet_normals) == 5
+    assert cone.interior_ones
+    with pytest.raises(cones.ConesError, match="empty interior"):
         cones.cone_over_hull([[0.1] * 5, [0.2] * 5])
 
 
@@ -185,6 +194,135 @@ def test_membership_matches_bruteforce_oracle():
             assert not inside
         elif cone.angular_excess(d) == 0.0:
             assert inside
+
+
+def _solve(columns, b):
+    """x with sum_k x_k columns[k] = b; None when the columns are dependent."""
+    n = len(b)
+    m = [[columns[k][i] for k in range(n)] + [b[i]] for i in range(n)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda i: abs(m[i][c]))
+        if abs(m[p][c]) < 1e-12:
+            return None
+        m[c], m[p] = m[p], m[c]
+        for i in range(n):
+            if i != c:
+                f = m[i][c] / m[c][c]
+                m[i] = [a - f * e for a, e in zip(m[i], m[c])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def _oracle_extreme(rows):
+    """Directions of the rows that lie in no cone over n other rows.
+
+    By Caratheodory a row inside the cone over the others is inside the
+    cone over n of them.
+    """
+    n = len(rows[0])
+    dirs = []
+    for r in rows:
+        u = cones._unit(r)
+        if all(max(abs(a - b) for a, b in zip(u, d)) > 1e-9 for d in dirs):
+            dirs.append(u)
+    extreme = []
+    for i, d in enumerate(dirs):
+        others = dirs[:i] + dirs[i + 1:]
+        if not any(x is not None and min(x) >= -1e-12
+                   for x in (_solve(sub, d)
+                             for sub in itertools.combinations(others, n))):
+            extreme.append(d)
+    return extreme
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_hull_matches_caratheodory_oracle(n):
+    rng = random.Random(n)
+    corners = [[rng.uniform(0.7, 0.95) if i == j else rng.uniform(0.05, 0.2)
+                for j in range(n)] for i in range(n)]
+    mix = [rng.uniform(0.1, 1.0) for _ in range(n)]
+    inner = [sum(w * c[j] for w, c in zip(mix, corners)) / sum(mix) / 2
+             for j in range(n)]
+    # an inner row, a corner again at half scale, and a row on the edge
+    # between two corners, which lies on n - 2 facets and is no vertex
+    simplex = corners + [inner, [0.5 * x for x in corners[0]],
+                         [(a + b) / 2 for a, b in zip(corners[1],
+                                                      corners[2])]]
+    sets = [simplex]
+    for _ in range(6):
+        rows = [[rng.uniform(0.05, 0.95) for _ in range(n)]
+                for _ in range(n + 3)]
+        sets.append(rows + [rows[0], [(a + b) / 2 for a, b in zip(rows[1],
+                                                                rows[2])]])
+    for rows in sets:
+        cone = cones.cone_over_hull(rows)
+        got = {tuple(round(x, 9) for x in v) for v in cone.vertex_directions}
+        want = {tuple(round(x, 9) for x in v) for v in _oracle_extreme(rows)}
+        assert got == want
+        assert len(cone.vertex_directions) == len(got)
+        for f in cone.facet_normals:
+            assert min(cones._dot(f, cones._unit(r)) for r in rows) >= -1e-12
+    assert len(cones.cone_over_hull(simplex).vertex_directions) == n
+
+
+@pytest.mark.parametrize("n, m", [(3, 400), (4, 200)])
+def test_hull_of_a_ray_cloud_enumerates_few_subsets(n, m, monkeypatch):
+    # criterion 12 takes the hull of a few hundred rays; rows deep inside
+    # must not reach the (n - 1)-subset enumeration, which alone would
+    # form C(m, n - 1) candidate facets
+    rng = random.Random(20 + n)
+    corners = [[rng.uniform(0.7, 0.95) if i == j else rng.uniform(0.05, 0.2)
+                for j in range(n)] for i in range(n)]
+    rows = [list(c) for c in corners]
+    while len(rows) < m:
+        w = [rng.random() ** 3 for _ in corners]
+        rows.append([sum(wi * c[j] for wi, c in zip(w, corners))
+                     for j in range(n)])
+    rows.append([(a + b) / 2 for a, b in zip(corners[0], corners[1])])
+    rng.shuffle(rows)
+    calls = []
+    cofactor = cones._cofactor
+
+    def counted(vectors):
+        if len(vectors) == n - 1:
+            calls.append(1)
+        return cofactor(vectors)
+
+    monkeypatch.setattr(cones, "_cofactor", counted)
+    start = time.perf_counter()
+    cone = cones.cone_over_hull(rows)
+    elapsed = time.perf_counter() - start
+    got = {tuple(round(x, 9) for x in v) for v in cone.vertex_directions}
+    assert got == {tuple(round(x, 9) for x in cones._unit(c))
+                   for c in corners}
+    assert len(cone.facet_normals) == n
+    assert max(cone.angular_excess(r) for r in rows) <= 1e-12
+    assert len(calls) <= 1000  # C(m, n - 1) is 79,800 and 1,313,400
+    assert elapsed < 0.5  # a few ms; the enumeration of all rows takes s
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_hull_of_clustered_rows(n):
+    # rows 1e-7 apart near a corner and 1e-10 off an edge make facets from
+    # nearly dependent subsets; the hull must still build, from its rows,
+    # with every row inside up to the rounding of those facets
+    rng = random.Random(40 + n)
+    for _ in range(15):
+        corners = [[rng.uniform(0.05, 0.95) for _ in range(n)]
+                   for _ in range(n + 1)]
+        rows = [list(c) for c in corners]
+        for _ in range(12):
+            a, b = rng.sample(corners, 2)
+            t = rng.choice([rng.random(), 1e-7 * rng.random()])
+            rows.append([t * x + (1 - t) * y + 1e-10 * rng.uniform(-1, 1)
+                         for x, y in zip(a, b)])
+        try:
+            cone = cones.cone_over_hull(rows)
+        except cones.ConesError as err:
+            assert "empty interior" in str(err)
+            continue
+        units = [cones._unit(r) for r in rows]
+        assert all(v in units for v in cone.vertex_directions)
+        assert max(cone.angular_excess(u) for u in units) <= 1e-4
 
 
 def test_hull_idempotence():
@@ -354,7 +492,7 @@ def _simplex_cone():
 
 def test_designer_roundtrip():
     cone = _simplex_cone()
-    spec = cones.designer_lengths(cone, 3, 3, 1e-3)
+    spec = cones.designer_lengths(cone, 3, 1e-3)
     back = cones.cone_over_hull(spec)
     assert len(back.vertex_directions) == 3
     for v in cone.vertex_directions:
@@ -365,7 +503,7 @@ def test_designer_roundtrip():
 
 def test_designer_centroid_rows_absorbed():
     cone = cones.cone_over_hull([[0.8, 0.15], [0.2, 0.9], [0.5, 0.5]])
-    spec = cones.designer_lengths(cone, 2, 3, 1e-3)
+    spec = cones.designer_lengths(cone, 3, 1e-3)
     assert len(spec.rows) == 3
     back = cones.cone_over_hull(spec)
     assert len(back.vertex_directions) == 2
@@ -374,19 +512,19 @@ def test_designer_centroid_rows_absorbed():
 def test_designer_errors():
     cone = _simplex_cone()
     with pytest.raises(cones.ConesError, match="vertex count"):
-        cones.designer_lengths(cone, 3, 2, 1e-3)
+        cones.designer_lengths(cone, 2, 1e-3)
     with pytest.raises(cones.ConesError, match="below 1"):
-        cones.designer_lengths(cone, 3, 3, 5.0)
+        cones.designer_lengths(cone, 3, 5.0)
     skew = cones.cone_over_hull([[0.9, 0.05, 0.05], [0.8, 0.1, 0.05],
                                  [0.85, 0.05, 0.1]])
     assert not skew.interior_ones
     with pytest.raises(cones.ConesError, match="interior"):
-        cones.designer_lengths(skew, 3, 3, 1e-3)
+        cones.designer_lengths(skew, 3, 1e-3)
 
 
 def test_designer_full_pipeline(dec):
     cone = _simplex_cone()
-    spec = cones.designer_lengths(cone, 3, 3, 1e-3)
+    spec = cones.designer_lengths(cone, 3, 1e-3)
     surfaces = [surface.build_holonomy(
         dec, surface.FNCoordinates([spec.rows[i][j] for i in range(3)]))
         for j in range(3)]

@@ -121,6 +121,15 @@ def test_enumerate_budget_error():
         enumerate_conj_classes(3, 4)
 
 
+def test_parse_and_format_word():
+    assert curves.word_from_text("aBcD") == (1, -2, 3, -4)
+    assert curves.word_to_text((1, -2, 3, -4)) == "aBcD"
+    with pytest.raises(CurvesError, match="unknown generator letter 'x'"):
+        curves.word_from_text("ax")
+    with pytest.raises(CurvesError, match="empty word"):
+        curves.word_from_text("")
+
+
 def test_word_text_round_trip():
     w = (1, -2, 3, -4)
     assert curves.word_to_text(w) == "aBcD"

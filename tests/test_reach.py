@@ -1,4 +1,5 @@
-"""Every definition in the package has a reader outside the tests.
+"""Every definition in the package has a reader outside the tests, and
+every import has a reader in its own file.
 
 A `def` or `class` in `src/teichlab` is reached when live code names it:
 module-level code of the package, any code under `tools/` or `bench/`, or
@@ -10,6 +11,9 @@ Names are matched by identifier, as a `Name`, an attribute or a string
 constant (the bench rebinds functions through `getattr`), so two
 definitions that share a name are reached together.  That errs toward
 passing: only a reader that builds a name at run time goes unseen.
+
+An import under `src`, `tools` or `tests` is read when its file uses the
+name it binds as a `Name` (the base of an attribute is one).
 """
 
 import ast
@@ -126,6 +130,28 @@ def unreached(kept):
 def test_every_definition_has_a_reader():
     dead = unreached(KEPT)
     assert not dead, "read only by tests: " + ", ".join(dead)
+
+
+def unused_imports():
+    """"file: name" for each name that a file imports and never reads."""
+    out = []
+    for sub in ("src", "tools", "tests"):
+        for path in sorted((ROOT / sub).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        if name not in read:
+                            out.append("%s: %s" % (
+                                path.relative_to(ROOT).as_posix(), name))
+    return out
+
+
+def test_every_import_is_read():
+    unused = unused_imports()
+    assert not unused, "imported and never read: " + ", ".join(unused)
 
 
 def test_kept_names_are_read_only_by_tests():

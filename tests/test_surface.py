@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from teichlab import curves, hyp2, pants, surface
 from teichlab.surface import (
-    FNCoordinates, MarkedSurface, PantsDecomposition, SurfaceError,
+    FNCoordinates, PantsDecomposition, SurfaceError,
     build_holonomy, builtin_genus2_convenient,
 )
 
@@ -337,15 +337,6 @@ def test_conjugates_keep_the_length_of_their_class(batch_surfaces):
             assert s.curve_lengths([conj, word]) == [s.curve_length(word)] * 2
 
 
-def test_parse_and_format_word():
-    assert surface.parse_word("aBcD") == (1, -2, 3, -4)
-    assert surface.format_word((1, -2, 3, -4)) == "aBcD"
-    with pytest.raises(SurfaceError):
-        surface.parse_word("ax")
-    with pytest.raises(SurfaceError):
-        surface.parse_word("")
-
-
 def test_holonomy_accepts_signed_indices():
     s = builtin_surface([0.6, 0.8, 1.1])
     m1 = s.holonomy("aB")
@@ -363,10 +354,9 @@ def test_higher_genus_graph_builds():
     lengths = [1.0, 1.2, 0.9, 1.4, 1.1, 0.8]
     s = build_holonomy(d, FNCoordinates(lengths))
     assert s.relator_residual <= 1e-9
-    for m, l in zip(s.curve_matrices, lengths):
-        tl = hyp2.translation_length(m)
-        assert tl.kind == "hyperbolic"
-        assert abs(tl.length - l) < 1e-6
+    # off the builtin graph, generator i + 1 is the holonomy of curve i
+    for i, l in enumerate(lengths):
+        assert abs(s.curve_length((i + 1,)) - l) < 1e-6
 
 
 @settings(max_examples=25, deadline=None)

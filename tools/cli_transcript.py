@@ -2,12 +2,14 @@
 
 The command set is every example in the README's CLI block plus
 `rotation` and `nonrot` for the classes c, cd, aB and aaac on a thick
-(0.7 0.8 0.9) and a pinched (1e-4 2e-5 5e-5) surface; repeated commands
-run once.  Each command runs in its own interpreter from a temporary
-directory that holds the `noisy.json`, `L.json` and `cone.json` the README
-examples read.  For each one the transcript records the command, its
-stdout, the last line of its stderr and its exit code, so two trees can be
-compared with `diff`:
+(0.7 0.8 0.9) and a pinched (1e-4 2e-5 5e-5) surface, and `cones
+designer` on a 2-factor and a 4-factor cone, whose printed length rows
+follow the hull's vertex order; repeated commands run once.  Each command
+runs in its own interpreter from a temporary directory that holds the
+`noisy.json`, `L.json` and `cone.json` the README examples read and the
+`cone2.json` and `cone4.json` of the designer commands.  For each one the
+transcript records the command, its stdout, the last line of its stderr
+and its exit code, so two trees can be compared with `diff`:
 
     python3 tools/cli_transcript.py --src /path/to/old/src -o old.txt
     python3 tools/cli_transcript.py -o new.txt
@@ -36,7 +38,16 @@ INPUT_FILES = {
                    "stretched_index": 0, "D": 5.0, "seed": 7},
     "L.json": {"rows": ROWS},
     "cone.json": {"vertices": ROWS},
+    "cone2.json": {"vertices": [[0.5, 0.5], [0.2, 0.9], [0.8, 0.15]]},
+    "cone4.json": {"vertices": [[0.8, 0.1, 0.1, 0.1], [0.1, 0.85, 0.05, 0.1],
+                                [0.3, 0.3, 0.3, 0.3], [0.1, 0.1, 0.7, 0.2],
+                                [0.15, 0.1, 0.1, 0.75]]},
 }
+DESIGNER_COMMANDS = (
+    ["cones", "designer", "--spec", "cone2.json", "--scale", "1e-3"],
+    ["cones", "designer", "--spec", "cone4.json", "--total-curves", "5",
+     "--scale", "1e-3"],
+)
 
 RUN_MAIN = "import sys; from teichlab.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -53,6 +64,7 @@ def command_set():
         for word in ROTATION_WORDS:
             for sub in ("rotation", "nonrot"):
                 commands.append([sub, "--lengths", *lengths, "--word", word])
+    commands.extend(DESIGNER_COMMANDS)
     unique = []
     for argv in commands:
         if argv not in unique:
