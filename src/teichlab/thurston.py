@@ -10,19 +10,19 @@ of that statement: the witness ratio is exact and a supplied family of
 curve classes never beats it.  The full supremum over all classes is not
 recomputed; every report is a family-restricted certificate.
 
-A certificate reads one 80-digit trace batch per surface
-(`MarkedSurface.curve_traces`).  Float estimates of the lengths rank the
-words, and only the words whose estimated ratio can reach the supremum or
-the witness band get exact lengths (80-digit acosh, as `curve_lengths`).
-The screen's margin covers the estimates' error many times over, so the
-supremum, the witness and the counts equal those of exact lengths for
-every word (see `_sup_certificate`).
+A certificate reads one batch of length estimates per surface
+(`MarkedSurface.length_estimates`, a scaled-integer fold whose error
+radius is computed).  The estimates rank the words, and only the words
+whose estimated ratio can reach the supremum or the witness band, or
+whose estimate is undecided, get 80-digit traces and exact lengths
+(80-digit acosh, as `curve_lengths`).  The screen's margin covers the
+estimates' error many times over, so the supremum, the witness and the
+counts equal those of exact lengths for every word (see
+`_sup_certificate`).
 """
 
 import math
 import random
-
-import mpmath
 
 from . import constants, curves
 from . import surface as surface_mod
@@ -234,97 +234,100 @@ def _class_key(word):
 # relative width of the witness band below the supremum: a curve and its
 # powers give ulp-separated ratios
 _WITNESS_BAND = 1e-12
-# bound on the relative error of a screened ratio; the length estimates of
-# `_estimated_length` are off by a few ulps at most (2.2e-16 at worst over
-# the classes up to 5 letters on thick, pinched and twisted surfaces)
+# bound on the relative error of a screened ratio: the trace part of the
+# length estimates is computed (`MarkedSurface.length_estimates`) and kept
+# below half of it, the float part is a few ulps
 _SCREEN_REL_ERR = 1e-13
 
 
-def _estimated_length(t):
-    """Float estimate of the length 2 acosh(t/2) of an 80-digit trace t > 2.
+def _sup_certificate(words, x_estimates, y_estimates, exact_traces):
+    """The certificate of `ratio_sup` from the length estimates of its words.
 
-    Near t = 2 the float of t keeps no digit of the length (a 1e-6 cuff
-    has t - 2 ~ 1e-12), so there the excess d = t - 2 is formed exactly
-    and the length is 4 asinh(sqrt(d)/2), the same value.  Either branch
-    is off by a few ulps at most: from t >= 3 on, the length is no more
-    than 1.4 times as sensitive to t as t's own rounding, and d is rounded
-    once.  A trace beyond the float range gives inf.
-    """
-    x = float(t)
-    if x >= 3.0:
-        return 2.0 * math.acosh(x / 2.0)
-    return 4.0 * math.asinh(
-        math.sqrt(float(mpmath.fsub(t, 2, exact=True))) / 2.0)
+    Every word with a decided estimate on both surfaces, a trace part
+    rx + ry <= delta/2 and a finite positive estimated ratio
+    e = l~_Y/l~_X is screened; E is the largest screened e, w the witness
+    band and delta = `_SCREEN_REL_ERR`.  The candidates are the other
+    words and the screened words with e >= E (1 - w)(1 - 2 delta).
+    `exact_traces(indices)` returns the candidates' `curve_traces` on X
+    and on Y; a candidate whose trace is not hyperbolic on either surface
+    is skipped, and the others get exact lengths and exact ratios r.
 
-
-def _sup_certificate(words, x_traces, y_traces):
-    """The certificate of `ratio_sup` from the traces of its family words.
-
-    A word whose trace is not hyperbolic on either surface is skipped.
-    Every other word gets an estimated ratio e = l~_Y/l~_X, and only the
-    candidates get exact lengths and exact ratios r.  The candidates are the
-    words with e >= E (1 - w)(1 - 2 delta), where E is the largest estimate,
-    w the witness band and delta = `_SCREEN_REL_ERR`, plus every word whose
-    estimate is not a finite positive ratio.
-
-    Why this changes nothing: each estimate has |e/r - 1| <= delta (the
-    lengths' errors and the division's rounding are below 1e-15).  Let R
-    be the exact supremum and u a word with r_u >= R (1 - w), as the
-    supremum's word and every witness-band word are.  If E = e_v then
-    E <= (1 + delta) r_v <= (1 + delta) R, so
-    e_u >= (1 - delta)(1 - w) R >= (1 - delta)/(1 + delta) (1 - w) E
-    >= (1 - 2 delta)(1 - w) E, and u is a candidate.  The supremum and the
-    witness band over the candidates are thus those over the whole family,
-    and so are the supremum, the witness and the counts; the slack between
-    1e-15 and delta absorbs the roundings of the bar itself.
+    Why this changes nothing: a screened word's lengths are within rx and
+    ry of the lengths of its exact traces (the trace part), and the float
+    part (the estimates' acosh or asinh, the exact lengths' rounding and
+    the division) is below 1e-15, so |e/r - 1| <= delta.  A screened
+    word's traces are above 2, so it is not skipped, and the skipped
+    words are those whose exact traces are not hyperbolic, as for exact
+    lengths of every word.  Let R be the exact supremum and u a word with
+    r_u >= R (1 - w), as the supremum's word and every witness-band word
+    are.  If u is screened and E = e_v then E <= (1 + delta) r_v
+    <= (1 + delta) R, so e_u >= (1 - delta)(1 - w) R
+    >= (1 - delta)/(1 + delta) (1 - w) E >= (1 - 2 delta)(1 - w) E, and
+    u is a candidate.  The supremum and the witness band over the
+    candidates are thus those over the whole family, and so are the
+    supremum, the witness and the counts; the slack between 1e-15 and
+    delta/2 absorbs the roundings of the bar itself.
     """
     if not words:
         raise ThurstonError("family must be nonempty")
-    error = surface_mod.SurfaceError
     screened, candidates = [], []
-    for i, (tx, ty) in enumerate(zip(x_traces, y_traces)):
-        if isinstance(tx, error) or isinstance(ty, error):
+    for i, (ex, ey) in enumerate(zip(x_estimates, y_estimates)):
+        if ex is None or ey is None or ex[1] + ey[1] > _SCREEN_REL_ERR / 2:
+            candidates.append(i)
             continue
-        lx = _estimated_length(tx)
-        ratio = _estimated_length(ty) / lx if lx > 0.0 else math.inf
+        ratio = ey[0] / ex[0] if ex[0] > 0.0 else math.inf
         if 0.0 < ratio < math.inf:
             screened.append((ratio, i))
         else:
             candidates.append(i)
-    family_size = len(screened) + len(candidates)
-    if not family_size:
-        raise ThurstonError("no hyperbolic class in the family")
     if screened:
         bar = max(r for r, _ in screened) * ((1.0 - _WITNESS_BAND)
                                              * (1.0 - 2.0 * _SCREEN_REL_ERR))
         candidates += [i for ratio, i in screened if ratio >= bar]
+    error = surface_mod.SurfaceError
     lengths = surface_mod._trace_lengths
+    x_traces, y_traces = exact_traces(candidates)
     evaluated = [(words[i], ly / lx) for i, lx, ly in zip(
-        candidates, lengths([x_traces[i] for i in candidates]),
-        lengths([y_traces[i] for i in candidates]))]
+        candidates, lengths(x_traces), lengths(y_traces))
+        if not isinstance(lx, error) and not isinstance(ly, error)]
+    skipped = len(candidates) - len(evaluated)
+    if skipped == len(words):
+        raise ThurstonError("no hyperbolic class in the family")
     sup_ratio = max(r for _, r in evaluated)
     # witness: canonically smallest word within the band below the supremum
     witness = min((w for w, r in evaluated
                    if r >= sup_ratio * (1.0 - _WITNESS_BAND)), key=_class_key)
-    return RatioCertificate(sup_ratio, witness, family_size,
-                            len(words) - family_size, False)
+    return RatioCertificate(sup_ratio, witness, len(words) - skipped,
+                            skipped, False)
 
 
 def _certificates(surfaces, family, pairs):
     """`ratio_sup` certificates for index pairs (x, y) into `surfaces`.
 
-    Each surface folds the family once; every pair reads those batches.
+    Each word is cyclically reduced once, each surface estimates the
+    family's lengths once, and every pair reads those batches; only a
+    pair's candidates go through `curve_traces`.
     """
     words = [curves._as_word(cls) for cls in family]
-    traces = [s.curve_traces(words) for s in surfaces]
-    return [_sup_certificate(words, traces[x], traces[y]) for x, y in pairs]
+    reduced = [curves.cyclic_reduce(w) for w in words]
+    estimates = [s.length_estimates(reduced) for s in surfaces]
+
+    def certificate(x, y):
+        def exact_traces(indices):
+            batch = [reduced[i] for i in indices]
+            return (surfaces[x].curve_traces(batch),
+                    surfaces[y].curve_traces(batch))
+        return _sup_certificate(words, estimates[x], estimates[y],
+                                exact_traces)
+
+    return [certificate(x, y) for x, y in pairs]
 
 
 def ratio_sup(x_surface, y_surface, family, designated=None, expected=None):
     """Max of l_Y/l_X over the family; ties break by canonical word order.
 
     The supremum and witness come from exact lengths (80-digit acosh, as
-    `curve_lengths`) of the words a float screen of the traces leaves in
+    `curve_lengths`) of the words a screen of length estimates leaves in
     reach of them; the screen's margin makes them equal to the supremum
     and witness of exact lengths for all words (`_sup_certificate`).  The
     designated word's ratio, when given, is exact.

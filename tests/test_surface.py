@@ -337,6 +337,47 @@ def test_conjugates_keep_the_length_of_their_class(batch_surfaces):
             assert s.curve_lengths([conj, word]) == [s.curve_length(word)] * 2
 
 
+def _within(n, e, radius, t):
+    """|n 2^e - t| <= radius 2^e, in exact integers, for an mpf t > 0."""
+    _, man, exp, _ = t._mpf_
+    low = min(e, exp)
+    gap = (n << (e - low)) - (int(man) << (exp - low))
+    return abs(gap) <= radius << (e - low)
+
+
+def test_integer_traces_within_their_radius(monkeypatch):
+    # over L5 on pinched, thick and twisted surfaces each integer trace
+    # lies within its radius of the 80-digit fold and of a 160-digit fold
+    # of the same letters, and no word is left undecided; at 64 bits the
+    # truncations, not the 80-digit roundings, dominate the radius
+    rng = random.Random(24)
+    coords = [([0.7, 0.8, 0.9], None), ([1e-6, 5e-5, 1e-5], None),
+              ([0.7, 0.8, 0.9], [0.3, -1.1, 2.0]),
+              ([1e-3, 2e-4, 5e-4], [0.5, 0.1, -0.4]),
+              ([2.3e-6, 3.7e-6, 5e-6], [3.0, -2.0, 1.0]),
+              ([math.exp(x) for x in (-13.0, -12.5, -12.2)], [0.4, -0.3, 1.2])]
+    coords += [([math.exp(rng.uniform(-13.0, -12.0)) for _ in range(3)],
+                [rng.uniform(-5.0, 5.0) for _ in range(3)]) for _ in range(2)]
+    words = [c.word for c in curves.enumerate_conj_classes(2, 5)]
+    for lengths, twists in coords:
+        s = builtin_surface(lengths, twists)
+        mp80 = s.curve_traces(words)
+        with monkeypatch.context() as m:
+            m.setattr(surface, "_DPS", 160)
+            mp160 = s.curve_traces(words)
+        for bits in (272, 64):
+            with monkeypatch.context() as m:
+                m.setattr(surface, "_BITS", bits)
+                ints = s._int_traces(words)
+            for w, (n, e, radius), t80, t160 in zip(words, ints, mp80, mp160):
+                assert _within(n, e, radius, t80), (lengths, bits, w)
+                assert _within(n, e, radius, t160), (lengths, bits, w)
+                if bits == 272:
+                    # the radius is far below the excess over 2
+                    assert radius * 10 ** 30 < n - (2 << -e), (lengths, w)
+        assert None not in s.length_estimates(words)
+
+
 def test_holonomy_accepts_signed_indices():
     s = builtin_surface([0.6, 0.8, 1.1])
     m1 = s.holonomy("aB")

@@ -310,17 +310,25 @@ def test_length_estimates_within_screen_error():
                     ("pinched", pinched),
                     ("twisted", build(FNCoordinates([0.7, 0.8, 0.9],
                                                     [0.3, -1.1, 2.0])))):
-        traces = s.curve_traces(words)
-        pairs = [(thurston._estimated_length(t), length)
-                 for t, length in zip(traces, s.curve_lengths(words))
-                 if not isinstance(t, surface.SurfaceError)]
-        assert len(pairs) == len(words)
-        worst = max(abs(e / length - 1.0) for e, length in pairs)
+        estimates = s.length_estimates(words)
+        lengths = s.curve_lengths(words)
+        assert None not in estimates, name
+        assert not any(isinstance(v, surface.SurfaceError) for v in lengths)
+        # the computed trace part and the whole error
+        assert max(rel for _, rel in estimates) <= delta / 100, name
+        worst = max(abs(e / length - 1.0)
+                    for (e, _), length in zip(estimates, lengths))
         assert worst <= delta / 100, name
     # the float of a trace near 2 keeps almost no digit of a 1e-6 cuff
     a, = pinched.curve_traces(["a"])
     plain = 2.0 * math.acosh(float(a) / 2.0)
     assert abs(plain / pinched.curve_length("a") - 1.0) > delta / 100
+
+
+def exact_traces_of(x_traces, y_traces):
+    """The `exact_traces` argument of `_sup_certificate` for given traces."""
+    return lambda indices: ([x_traces[i] for i in indices],
+                            [y_traces[i] for i in indices])
 
 
 def test_screen_margin_keeps_a_word_at_the_witness_band():
@@ -333,7 +341,13 @@ def test_screen_margin_keeps_a_word_at_the_witness_band():
         with mpmath.workdps(80):
             return 2 * mpmath.cosh(mpmath.mpf(length) / 2)
 
-    est = thurston._estimated_length
+    def estimate(t):
+        # the integer fold's estimate of a trace it holds to one unit
+        _, man, exp, _ = t._mpf_
+        return surface._estimate(int(man), exp, 1)
+
+    def est(t):
+        return estimate(t)[0]
 
     def exact(t):
         length, = surface._trace_lengths([t])
@@ -355,9 +369,64 @@ def test_screen_margin_keeps_a_word_at_the_witness_band():
             break
     assert found is not None
     tx, ty_a, ty_b = found
-    cert = thurston._sup_certificate([(1,), (2,)], [tx, tx], [ty_a, ty_b])
+    cert = thurston._sup_certificate(
+        [(1,), (2,)], [estimate(tx)] * 2, [estimate(ty_a), estimate(ty_b)],
+        exact_traces_of([tx, tx], [ty_a, ty_b]))
     assert cert.sup_ratio == exact(ty_b) / exact(tx)
     assert cert.witness == (1,)
+
+
+def test_wide_trace_part_makes_a_candidate():
+    # word 1's estimate reads below word 2's, but its trace part admits
+    # the higher exact ratio it has, so it must reach the exact path
+    def trace(length):
+        with mpmath.workdps(80):
+            return 2 * mpmath.cosh(mpmath.mpf(length) / 2)
+
+    tx, ty = trace(1.0), [trace(1.01), trace(1.005)]
+    cert = thurston._sup_certificate(
+        [(1,), (2,)], [(1.0, 0.0)] * 2, [(1.0, 1e-3), (1.005, 0.0)],
+        exact_traces_of([tx, tx], ty))
+    assert cert.witness == (1,)
+
+
+def test_undecided_estimates_take_the_exact_path(family, monkeypatch):
+    # with 64 bits the fold's radius swallows the excess t - 2 of many
+    # pinched words; those go to curve_traces whole, and the certificate
+    # stays that of exact lengths
+    x, y, stretched, expected = noisy_pair(0)
+    want = [oracle_certificate(a, b, family) for a, b in ((x, y), (y, x))]
+    monkeypatch.setattr(surface, "_BITS", 64)
+    undecided = sum(e is None for e in x.length_estimates(family))
+    assert undecided >= 20
+    seen = []
+    batch = surface.MarkedSurface.curve_traces
+
+    def counting(self, words):
+        seen.append(len(words))
+        return batch(self, words)
+
+    monkeypatch.setattr(surface.MarkedSurface, "curve_traces", counting)
+    for (a, b), w in zip(((x, y), (y, x)), want):
+        cert = ratio_sup(a, b, family)
+        assert (cert.sup_ratio, cert.witness, cert.family_size,
+                cert.skipped) == w
+    assert min(seen) >= undecided
+
+
+def test_trace_beyond_float_range_is_a_candidate():
+    # a^2100 on a thick surface has a trace near e^735, beyond the float
+    # range: no estimate, and the exact path measures it
+    assert surface._estimate(1 << 1100, 0, 1) is None
+    assert surface._estimate(1, 1100, 1) is None
+    x = build(FNCoordinates([0.7, 0.8, 0.9]))
+    y = build(FNCoordinates([1.4, 0.8, 0.9], [0.2, 0.0, 0.0]))
+    fam = ["a" * 2100, "b", "cd"]
+    assert x.length_estimates([curves.word_from_text(fam[0])]) == [None]
+    cert = ratio_sup(x, y, fam)
+    assert (cert.sup_ratio, cert.witness, cert.family_size,
+            cert.skipped) == oracle_certificate(x, y, fam)
+    assert cert.witness == curves.word_from_text(fam[0])
 
 
 # --- noisy geodesic certificates ------------------------------------------------
@@ -489,18 +558,28 @@ def test_linf_grid_k1(family):
 
 
 def test_linf_grid_lengths_once_per_surface(family, monkeypatch):
-    # one trace batch per grid point, and the report of the per-pair
-    # ratio_sup calls it replaces
-    calls = []
-    batch = surface.MarkedSurface.curve_traces
+    # one integer fold per grid point, 80-digit traces of the candidates
+    # only, and the report of the per-pair ratio_sup calls it replaces
+    folds, exact = [], []
+    estimates = surface.MarkedSurface.length_estimates
+    traces = surface.MarkedSurface.curve_traces
 
-    def counting(self, words):
-        calls.append(len(words))
-        return batch(self, words)
+    def counting_estimates(self, words):
+        folds.append(len(words))
+        return estimates(self, words)
 
-    monkeypatch.setattr(surface.MarkedSurface, "curve_traces", counting)
+    def counting_traces(self, words):
+        exact.append(len(words))
+        return traces(self, words)
+
+    monkeypatch.setattr(surface.MarkedSurface, "length_estimates",
+                        counting_estimates)
+    monkeypatch.setattr(surface.MarkedSurface, "curve_traces",
+                        counting_traces)
     report = linf_grid_check(BASE, 0.6, 1, 4, family, DEC)
-    assert calls == [len(family)] * 4
+    assert folds == [len(family)] * 4
+    # one candidate list per surface of each of the 12 ordered pairs
+    assert len(exact) == 24 and 1 <= min(exact) and max(exact) <= 10
     monkeypatch.undo()
 
     def point(x):
