@@ -370,8 +370,8 @@ def cmd_cyl_cusp(args, rep):
 # --- argument parsing -----------------------------------------------------------
 
 
-def _lengths_arg(p, name="--lengths"):
-    p.add_argument(name, type=float, nargs=3, required=True)
+def _lengths_arg(p):
+    p.add_argument("--lengths", type=float, nargs=3, required=True)
 
 
 def build_parser():

@@ -53,6 +53,10 @@ _THIN_MESSAGE = (
 _SEAM_LETTERS = "xyz"
 _NORMAL_MIN = sys.float_info.min
 _CHORD_MARGIN = 1e-12
+# the seam-power census of `lines_through` stops after this many misses
+# in a row, or this many steps, in each direction
+_CENSUS_MISSES = 12
+_CENSUS_STEPS = 200
 _KEY_BASE = 2 * 10 ** 9 + 1
 
 
@@ -388,7 +392,7 @@ class _Frame:
                     return self._infinite_specs
         return self.curve_specs
 
-    def lines_through(self, h, p_idx, center=0.0, misses_cap=12, m_cap=200):
+    def lines_through(self, h, p_idx, center=0.0):
         """Frame lines of pants-curve lifts crossing the seam lift h.
 
         In the base hexagon, seam s meets pants curves s+1 and s+2 at right
@@ -415,7 +419,7 @@ class _Frame:
                 cur = base if direction == 1 else surface._mul(base, nu_inv)
                 step = nu if direction == 1 else nu_inv
                 misses, steps = 0, 0
-                while misses < misses_cap and steps <= m_cap:
+                while misses < _CENSUS_MISSES and steps <= _CENSUS_STEPS:
                     hit = False
                     rep = _mobius(cur, rep_b)
                     att = _mobius(cur, att_b)
@@ -571,7 +575,7 @@ def _beam_buckets(frame, depth, beam_width):
     return at_depth, buckets
 
 
-def _collect_lifts(frame, depth, beam_width=_BEAM_WIDTH):
+def _collect_lifts(frame, depth):
     """Refined lifts found by one beam pass, at `depth` and two levels deeper.
 
     The pass (`_beam_buckets`) runs to depth + _STABILITY_STEP and copies
@@ -582,7 +586,7 @@ def _collect_lifts(frame, depth, beam_width=_BEAM_WIDTH):
     from its path.
     """
     period = frame.period
-    at_depth, buckets = _beam_buckets(frame, depth, beam_width)
+    at_depth, buckets = _beam_buckets(frame, depth, _BEAM_WIDTH)
     specs = {(s[0], s[1]): s for s in frame.curve_specs}
     endpoints = {}
 
@@ -615,12 +619,10 @@ def _collect_lifts(frame, depth, beam_width=_BEAM_WIDTH):
 class IntersectionSequence:
     """Lifted crossings of one period, with the two boundary orders."""
 
-    def __init__(self, word, entries, period, multiplicity, depth, frame):
+    def __init__(self, word, entries, period, frame):
         self.word = word
         self.entries = entries
         self.period = period
-        self.period_multiplicity = multiplicity
-        self.search_depth = depth
         self._frame = frame
         # a pants lift and a seam lift may legitimately cross the axis at
         # one point (seam feet lie on the pants curves); only a tie within
@@ -664,8 +666,7 @@ def _sequences_match(a, b):
 
 
 def intersection_sequence(marked, gamma,
-                          search_depth=constants.LIFT_SEARCH_DEPTH_DEFAULT,
-                          beam_width=_BEAM_WIDTH):
+                          search_depth=constants.LIFT_SEARCH_DEPTH_DEFAULT):
     """All lifts of the hexagon-system curves linking one axis period.
 
     The search walks reduced words in the marking generators up to the
@@ -680,14 +681,12 @@ def intersection_sequence(marked, gamma,
     frame = _Frame(marked, word)
     if frame.system.excludes(word):
         raise CombinatError("excluded class: member of the hexagon system")
-    lifts, deeper = _collect_lifts(frame, search_depth, beam_width)
+    lifts, deeper = _collect_lifts(frame, search_depth)
     if not _sequences_match(lifts, deeper):
         raise CombinatError("lift search unstable: increase search_depth")
     if not lifts:
         raise CombinatError("no crossings found: increase search_depth")
-    _, multiplicity = _primitive_root(word)
-    return IntersectionSequence(word, lifts, frame.period, multiplicity,
-                                search_depth, frame)
+    return IntersectionSequence(word, lifts, frame.period, frame)
 
 
 # --- rotation data -------------------------------------------------------------
@@ -892,7 +891,6 @@ DISTORTION_CSV_HEADER = ("word,i_P,r1,r2,r3,len_X,proj_X,nonrot_X,"
 
 
 def distortion_check(x_surface, y_surface, classes, C, reference=None,
-                     eps=constants.EPS_UNTWISTED_DEFAULT,
                      search_depth=constants.LIFT_SEARCH_DEPTH_DEFAULT):
     """Length-distortion bounds from log-length ratios of the pants curves.
 
@@ -904,7 +902,7 @@ def distortion_check(x_surface, y_surface, classes, C, reference=None,
     for s in (x_surface, y_surface):
         if not s.coords.untwisted:
             raise CombinatError("surfaces must be untwisted")
-        if max(s.coords.lengths) > eps:
+        if max(s.coords.lengths) > constants.EPS_UNTWISTED_DEFAULT:
             raise CombinatError("surfaces must be pinched below eps")
     if reference is None:
         reference = surface.reference_surface(x_surface.decomposition)

@@ -100,8 +100,8 @@ class PolyCone:
             worst = max(worst, -_dot(f, u))
         return worst
 
-    def contains(self, v, angular_slack=0.0):
-        return self.angular_excess(v) <= angular_slack
+    def contains(self, v):
+        return self.angular_excess(v) <= 0.0
 
 
 def jordan_projection(surfaces, gamma):
@@ -323,18 +323,17 @@ def designer_lengths(cone, total_curves, scale):
     return ConeSpecL(rows)
 
 
-def decompose_projection(surfaces, gamma, rotation_data=None,
+def decompose_projection(surfaces, gamma,
                          search_depth=constants.LIFT_SEARCH_DEPTH_DEFAULT):
     """Split the Jordan projection into rotational and remainder parts.
 
     The rotation data is combinatorial and shared by every untwisted
     surface, so it is computed once on a thick reference copy of the
-    common decomposition when not supplied.
+    common decomposition.
     """
-    if rotation_data is None:
-        reference = surface_mod.reference_surface(surfaces[0].decomposition)
-        seq = combinat.intersection_sequence(reference, gamma, search_depth)
-        rotation_data = combinat.classify_and_rotate(seq)
+    reference = surface_mod.reference_surface(surfaces[0].decomposition)
+    seq = combinat.intersection_sequence(reference, gamma, search_depth)
+    rotation_data = combinat.classify_and_rotate(seq)
     r_vec = []
     l_vec = []
     for s in surfaces:

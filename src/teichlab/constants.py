@@ -41,10 +41,6 @@ NOISE_BREAKPOINTS_DEFAULT = 16   # piecewise-linear noise segments
 # concrete numbers.  Each was measured once on the stated grid and then
 # frozen with margin.
 
-# Crossing residue: 2R_a - C_CROSSING <= residue <= 2R_a.  Measured max
-# deficit 2R_a - residue on a in {1e-1/2..1e-6}, t in {0..1e8}: 2 log 2.
-C_CROSSING = 5.0
-
 # |2*excursion - non-crossing residue|: measured max 2 log 2 ~ 1.386 on
 # a in {1e-1/2..1e-6}, t in {1..1e8}; frozen with margin.
 C_EXCURSION_RESIDUE = 3.0

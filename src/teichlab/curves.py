@@ -62,9 +62,9 @@ def _as_word(cls):
 class ConjClass:
     """Cyclically reduced word up to rotation and inversion."""
 
-    __slots__ = ("word", "canonical")
+    __slots__ = ("word",)
 
-    def __init__(self, word, canonical=False):
+    def __init__(self, word):
         word = tuple(word)
         if not word:
             raise CurvesError("trivial class")
@@ -72,7 +72,6 @@ class ConjClass:
             if word[(i + 1) % len(word)] == -v:
                 raise CurvesError("word is not cyclically reduced")
         object.__setattr__(self, "word", word)
-        object.__setattr__(self, "canonical", bool(canonical))
 
     def __setattr__(self, *a):
         raise AttributeError("ConjClass is immutable")
@@ -88,9 +87,6 @@ class ConjClass:
 
     def __repr__(self):
         return "ConjClass(%s)" % word_to_text(self.word)
-
-    def text(self):
-        return word_to_text(self.word)
 
 
 def cyclic_reduce(word):
@@ -127,8 +123,7 @@ def canonical_cyclic_form(word):
     reduced = cyclic_reduce(word)
     if not reduced:
         raise CurvesError("trivial class")
-    return ConjClass(_key_letters(_min_rotation(_word_key(reduced))),
-                     canonical=True)
+    return ConjClass(_key_letters(_min_rotation(_word_key(reduced))))
 
 
 _ENUM_BUDGET = 5_000_000
@@ -174,4 +169,4 @@ def enumerate_conj_classes(genus, max_len):
     for first in range(0, 2 * rank, 2):
         extend((first,))
     out.sort(key=lambda keys: (len(keys), keys))
-    return [ConjClass(_key_letters(keys), canonical=True) for keys in out]
+    return [ConjClass(_key_letters(keys)) for keys in out]

@@ -19,6 +19,10 @@ class CylinderError(ValueError):
     pass
 
 
+# the hypercycle calibration length delta*
+_DELTA = constants.DELTA_STAR_DEFAULT
+
+
 def lift_point(s, r):
     """Fermi coordinates to the upper half-plane, core on the imaginary axis."""
     scale = math.exp(s)
@@ -69,14 +73,10 @@ class ModelMap:
 
 
 class LipschitzReport:
-    def __init__(self, sampled_sup, witness, theoretical, sample_count,
-                 skipped, seed):
+    def __init__(self, sampled_sup, witness, theoretical):
         self.sampled_sup = sampled_sup
         self.witness = witness
         self.theoretical = theoretical
-        self.sample_count = sample_count
-        self.skipped = skipped
-        self.seed = seed
 
 
 def _fermi_distance(p, q):
@@ -99,30 +99,25 @@ def _pair_ratio(m, p, q):
     return _fermi_distance(m.apply(p), m.apply(q)) / d0
 
 
-def sampled_lipschitz(m, n_samples, seed=0, s_range=None, r_range=None):
+def sampled_lipschitz(m, n_samples, seed=0, r_range=None):
     """Sampled sup of distance ratios over a convex chart region.
 
     Random pairs plus a structured grid including core-curve pairs; pairs
-    closer than 1e-12 are skipped and counted.  The region defaults to one
-    period and full height of the source cylinder, in the universal-cover
-    chart where s is unwrapped.
+    closer than 1e-12 are skipped.  The region spans one period of the
+    source cylinder, in the universal-cover chart where s is unwrapped, and
+    its full height unless `r_range` narrows it.
     """
     a_dom, R_dom = m.domain()
-    if s_range is None:
-        s_range = (0.0, a_dom)
+    s_range = (0.0, a_dom)
     if r_range is None:
         r_range = (-R_dom, R_dom)
     rng = random.Random(seed)
     best, witness = 0.0, None
-    skipped = 0
-    count = 0
 
     def consider(p, q):
-        nonlocal best, witness, skipped, count
+        nonlocal best, witness
         ratio = _pair_ratio(m, p, q)
-        count += 1
         if ratio is None:
-            skipped += 1
             return
         if ratio > best:
             best, witness = ratio, (p, q)
@@ -144,7 +139,7 @@ def sampled_lipschitz(m, n_samples, seed=0, s_range=None, r_range=None):
     for s in grid:
         consider((s, r_range[0]), (s, r_range[1]))
         consider((s, r_range[0]), (s, 0.5 * (r_range[0] + r_range[1])))
-    return LipschitzReport(best, witness, m.theoretical, count, skipped, seed)
+    return LipschitzReport(best, witness, m.theoretical)
 
 
 LIPSCHITZ_CSV_HEADER = ("a1,a2,R1,R2,theoretical,sampled_sup,"
@@ -158,8 +153,7 @@ def lipschitz_csv_row(m, report):
     return ",".join("%.17g" % v for v in vals)
 
 
-def damping_profile(a, t, D0, delta_star=constants.DELTA_STAR_DEFAULT,
-                    n_samples=400, seed=0):
+def damping_profile(a, t, D0, n_samples=400, seed=0):
     """Sampled log-Lipschitz constant of the stretch map f_{a, e^t a}
     restricted to the D0-neighborhood of the long boundary.
 
@@ -168,10 +162,10 @@ def damping_profile(a, t, D0, delta_star=constants.DELTA_STAR_DEFAULT,
     against it by the tests.
     """
     a2 = a * math.exp(t)
-    if not (0 < a < delta_star) or not (0 < a2 < delta_star):
+    if not (0 < a < _DELTA) or not (0 < a2 < _DELTA):
         raise CylinderError("core lengths must lie in (0, delta_star)")
-    R1 = math.acosh(delta_star / a)
-    R2 = math.acosh(delta_star / a2)
+    R1 = math.acosh(_DELTA / a)
+    R2 = math.acosh(_DELTA / a2)
     if D0 >= min(R1, R2):
         raise CylinderError("neighborhood exceeds cylinder height")
     if t == 0.0:
@@ -186,12 +180,11 @@ def damping_profile(a, t, D0, delta_star=constants.DELTA_STAR_DEFAULT,
     return math.log(report.sampled_sup)
 
 
-def damping_restriction_constant(a, t, D0,
-                                 delta_star=constants.DELTA_STAR_DEFAULT):
+def damping_restriction_constant(a, t, D0):
     """Exact restriction Lipschitz constant: hypercycle stretch at depth D0."""
     a2 = a * math.exp(t)
-    R1 = math.acosh(delta_star / a)
-    R2 = math.acosh(delta_star / a2)
+    R1 = math.acosh(_DELTA / a)
+    R2 = math.acosh(_DELTA / a2)
     if D0 >= min(R1, R2):
         raise CylinderError("neighborhood exceeds cylinder height")
     r = R1 - D0
@@ -199,7 +192,7 @@ def damping_restriction_constant(a, t, D0,
     return max(stretch, R2 / R1)
 
 
-def excursion_depth(a, t, delta_star=constants.DELTA_STAR_DEFAULT):
+def excursion_depth(a, t):
     """Depth below the long boundary reached by the spiral chord.
 
     Closed form R_a - arctanh(tanh R_a / cosh(ta/2)): the perpendiculars
@@ -207,11 +200,11 @@ def excursion_depth(a, t, delta_star=constants.DELTA_STAR_DEFAULT):
     quadrilateral obtained by halving it has base ta/2.  The half-base
     convention is the one that matches the geodesic-chord oracle.
     """
-    if not 0 < a < delta_star:
+    if not 0 < a < _DELTA:
         raise CylinderError("need 0 < a < delta_star")
     if t < 0:
         raise CylinderError("need t >= 0")
-    R = math.acosh(delta_star / a)
+    R = math.acosh(_DELTA / a)
     half = t * a / 2.0
     if half > 350.0:
         return R
@@ -221,35 +214,26 @@ def excursion_depth(a, t, delta_star=constants.DELTA_STAR_DEFAULT):
     return R - math.atanh(x)
 
 
-def _boundary_offsets(a, delta_star):
-    # boundary point of the lifted configuration on the unit circle:
-    # (tanh R, sech R) = (sqrt(delta*^2 - a^2)/delta*, a/delta*)
-    return math.sqrt(delta_star * delta_star - a * a) / delta_star, a / delta_star
-
-
-def spiral_residue(a, t, delta_star=constants.DELTA_STAR_DEFAULT,
-                   crossing=False):
+def spiral_residue(a, t):
     """Chord length minus t*a for the spiral with basic rotation t.
 
-    Endpoints sit on the long boundary at perpendiculars spaced ta apart;
-    the crossing variant puts them on opposite boundary components.  The
-    difference is evaluated in the form 2 log(v + sqrt(v^2 + e^{-ta})),
+    Endpoints sit on the long boundary at perpendiculars spaced ta apart.
+    The difference is evaluated in the form 2 log(v + sqrt(v^2 + e^{-ta})),
     which is exact and does not overflow for large t.
     """
-    if not 0 < a < delta_star:
+    if not 0 < a < _DELTA:
         raise CylinderError("need 0 < a < delta_star")
     if t < 0:
         raise CylinderError("need t >= 0")
-    x0, y0 = _boundary_offsets(a, delta_star)
+    # boundary point of the lifted configuration on the unit circle:
+    # (tanh R, sech R) = (sqrt(delta*^2 - a^2)/delta*, a/delta*)
+    x0, y0 = math.sqrt(_DELTA * _DELTA - a * a) / _DELTA, a / _DELTA
     shrink = math.exp(-t * a)
-    wx = -x0 if crossing else x0
-    v = math.hypot(wx - x0 * shrink, y0 - y0 * shrink) / (2.0 * y0)
+    v = math.hypot(x0 - x0 * shrink, y0 - y0 * shrink) / (2.0 * y0)
     return 2.0 * math.log(v + math.sqrt(v * v + shrink))
 
 
-def ratio_residue_check(a1, a2, t1, t2,
-                        delta_star=constants.DELTA_STAR_DEFAULT,
-                        C=constants.C_RESIDUE_RATIO):
+def ratio_residue_check(a1, a2, t1, t2):
     """Residue comparability across pinching: C^-1 <= ratio <= C log a1/log a2.
 
     Valid above the calibrated thresholds (t1 > T0, |t2 - t1| <= tau).
@@ -261,7 +245,8 @@ def ratio_residue_check(a1, a2, t1, t2,
         raise CylinderError("t1 below the calibrated threshold")
     if abs(t2 - t1) > constants.TAU_RESIDUE:
         raise CylinderError("|t2 - t1| above the calibrated window")
-    ratio = spiral_residue(a1, t1, delta_star) / spiral_residue(a2, t2, delta_star)
+    ratio = spiral_residue(a1, t1) / spiral_residue(a2, t2)
+    C = constants.C_RESIDUE_RATIO
     lo = 1.0 / C
     hi = C * math.log(a1) / math.log(a2)
     report = {"ratio": ratio, "lower": lo, "upper": hi,
@@ -288,11 +273,11 @@ def cusp_rotation_check(n_samples, seed=0):
     return best
 
 
-def segment_rotation(rho, y_cut=1.0):
+def segment_rotation(rho):
     """Basic rotation of one maximal sub-arc of a semicircle of radius rho
-    kept below the horocycle at height y_cut."""
+    kept below the unit horocycle."""
     if rho <= 0:
         raise CylinderError("radius must be positive")
-    if rho <= y_cut:
+    if rho <= 1.0:
         return 2.0 * rho
-    return rho - math.sqrt(rho * rho - y_cut * y_cut)
+    return rho - math.sqrt(rho * rho - 1.0)

@@ -55,10 +55,6 @@ class IsometryMatrix:
     def trace(self):
         return self.m11 + self.m22
 
-    @property
-    def det(self):
-        return self.m11 * self.m22 - self.m12 * self.m21
-
     def entries(self):
         return (self.m11, self.m12, self.m21, self.m22)
 
@@ -144,11 +140,12 @@ class BoundaryPoint:
             return math.pi
         return 2.0 * math.atan(self.value)
 
-    def close_to(self, other, tol=constants.ENDPOINT_TIE_TOL):
+    def close_to(self, other):
         if self.is_infinity or other.is_infinity:
             return self.is_infinity and other.is_infinity
-        return abs(self.value - other.value) <= tol * max(
-            1.0, abs(self.value), abs(other.value))
+        return abs(self.value - other.value) <= (
+            constants.ENDPOINT_TIE_TOL
+            * max(1.0, abs(self.value), abs(other.value)))
 
     def __repr__(self):
         return "BoundaryPoint.inf()" if self.is_infinity else (
@@ -168,9 +165,6 @@ class GeodesicLine:
 
     def __setattr__(self, *a):
         raise AttributeError("GeodesicLine is immutable")
-
-    def reversed(self):
-        return GeodesicLine(self.end, self.start)
 
     def __repr__(self):
         return "GeodesicLine(%r, %r)" % (self.start, self.end)
@@ -208,31 +202,28 @@ def distance(p, q):
 class TranslationLength:
     """Translation length together with the isometry class."""
 
-    __slots__ = ("length", "kind", "boundary_flag")
+    __slots__ = ("length", "kind")
 
-    def __init__(self, length, kind, boundary_flag=False):
+    def __init__(self, length, kind):
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "boundary_flag", boundary_flag)
 
     def __setattr__(self, *a):
         raise AttributeError("TranslationLength is immutable")
 
     def __repr__(self):
-        return ("TranslationLength(%r, %r, boundary_flag=%r)"
-                % (self.length, self.kind, self.boundary_flag))
+        return "TranslationLength(%r, %r)" % (self.length, self.kind)
 
 
 def translation_length(m):
     """Translation length 2 arccosh(|tr|/2) and the isometry class.
 
-    Traces inside the band (2 - 1e-10, 2 + 1e-10) are reported parabolic
-    with the boundary flag set, since the classification is numerically
-    ambiguous there.
+    Traces inside the band (2 - 1e-10, 2 + 1e-10) are reported parabolic,
+    since the classification is numerically ambiguous there.
     """
     t = abs(m.trace)
     if abs(t - 2.0) < constants.PARABOLIC_BAND:
-        return TranslationLength(0.0, "parabolic", boundary_flag=True)
+        return TranslationLength(0.0, "parabolic")
     if t > 2.0:
         return TranslationLength(2.0 * math.acosh(t / 2.0), "hyperbolic")
     return TranslationLength(0.0, "elliptic")

@@ -19,19 +19,17 @@ class PantsError(ValueError):
 
 
 class PantsShape:
-    """Boundary half-lengths of a pair of pants plus the collar calibration."""
+    """Boundary half-lengths of a pair of pants; the collars are those of
+    `constants.DELTA_STAR_DEFAULT`."""
 
-    __slots__ = ("a1", "a2", "a3", "delta_star")
+    __slots__ = ("a1", "a2", "a3")
 
-    def __init__(self, a1, a2, a3, delta_star=constants.DELTA_STAR_DEFAULT):
+    def __init__(self, a1, a2, a3):
         if not (a1 > 0 and a2 > 0 and a3 > 0):
             raise PantsError("boundary half-lengths must be positive")
-        if not 0 < delta_star <= 1:
-            raise PantsError("delta_star must lie in (0, 1]")
         object.__setattr__(self, "a1", float(a1))
         object.__setattr__(self, "a2", float(a2))
         object.__setattr__(self, "a3", float(a3))
-        object.__setattr__(self, "delta_star", float(delta_star))
 
     def __setattr__(self, *a):
         raise AttributeError("PantsShape is immutable")
@@ -41,12 +39,11 @@ class PantsShape:
         return (self.a1, self.a2, self.a3)
 
     def require_shorts(self):
-        if max(self.half_lengths) >= self.delta_star / 2:
+        if max(self.half_lengths) >= constants.DELTA_STAR_DEFAULT / 2:
             raise PantsError("shorts undefined: need a_i < delta_star/2")
 
     def __repr__(self):
-        return ("PantsShape(%r, %r, %r, delta_star=%r)"
-                % (self.a1, self.a2, self.a3, self.delta_star))
+        return "PantsShape(%r, %r, %r)" % (self.a1, self.a2, self.a3)
 
 
 class HexagonData:
@@ -168,7 +165,7 @@ def _shorts_piece(a_side, a_split, d):
 
 
 def _shorts_lengths(shape, splits):
-    a, d = shape.half_lengths, shape.delta_star
+    a, d = shape.half_lengths, constants.DELTA_STAR_DEFAULT
     return tuple(_shorts_piece(a[i % 3], a_k, d)
                  + _shorts_piece(a[(i + 1) % 3], a_l, d)
                  for i, (a_k, a_l, _, _, _) in enumerate(splits, 1))
@@ -177,7 +174,7 @@ def _shorts_lengths(shape, splits):
 def shorts_side_lengths_subtraction(shape):
     """Naive c_i = c_i' - collar truncations; fine at moderate a, unstable small."""
     shape.require_shorts()
-    d = shape.delta_star
+    d = constants.DELTA_STAR_DEFAULT
     out = []
     for i, (_, _, _, ck, cl) in enumerate(_splits(shape), 1):
         _, a2, a3 = _cyclic(shape, i)
@@ -199,4 +196,4 @@ def hexagon_data(shape):
                        splits=tuple((a_k, a_l) for a_k, a_l, _, _, _ in splits),
                        split_heights=tuple(t for _, _, t, _, _ in splits),
                        shorts_lengths=_shorts_lengths(shape, splits),
-                       hypercycle_side=shape.delta_star / 2.0)
+                       hypercycle_side=constants.DELTA_STAR_DEFAULT / 2.0)

@@ -55,16 +55,13 @@ class PantsDecomposition:
     """Gluing graph: pants nodes with 3 slots, edges = pants curves.
 
     Seams are indexed so seam j of a pants runs between slots j+1 and j+2
-    (mod 3).  Seam orbits are the closed curves the seams glue into on the
-    untwisted surface, with feet matched index-wise across each edge.
+    (mod 3).
     """
 
     def __init__(self, pants_ids, curve_edges):
         self.pants = list(pants_ids)
         self.curve_edges = [tuple(e) for e in curve_edges]
         self._validate()
-        self.seam_orbits = self._seam_orbits()
-        self.convenient = self._convenient()
 
     def _validate(self):
         used = set()
@@ -88,7 +85,6 @@ class PantsDecomposition:
         n_p, n_e = len(self.pants), len(self.curve_edges)
         if n_p % 2 or 3 * n_p != 2 * n_e:
             raise SurfaceError("inconsistent pants/edge counts")
-        self.genus = n_e - n_p + 1
 
     def edge_at(self, node, slot):
         for i, (p, s, q, r) in enumerate(self.curve_edges):
@@ -97,50 +93,6 @@ class PantsDecomposition:
             if (q, r) == (node, slot):
                 return i, (p, s)
         raise SurfaceError("unglued slot (%r, %r)" % (node, slot))
-
-    def _seam_orbits(self):
-        """Close up seams across edges; feet of seam k+1 match seam k'+1."""
-        def step(node, seam, slot):
-            # leave seam (node, seam) through the given slot
-            _, (other, oslot) = self.edge_at(node, slot)
-            # on slot `slot`, the feet belong to seams slot+1 and slot+2;
-            # index-wise matching pairs equal offsets
-            offset = (seam - slot) % 3  # 1 or 2
-            nseam = (oslot + offset - 1) % 3 + 1
-            # continue through the other end of the new seam
-            ends = [(nseam % 3) + 1, ((nseam + 1) % 3) + 1]
-            if oslot not in ends:
-                raise SurfaceError("seam matching bookkeeping failed")
-            nslot = ends[0] if ends[1] == oslot else ends[1]
-            return other, nseam, nslot
-
-        all_seams = {(p, j) for p in self.pants for j in (1, 2, 3)}
-        orbits = []
-        seen = set()
-        for start in sorted(all_seams, key=str):
-            if start in seen:
-                continue
-            node, seam = start
-            slot = (seam % 3) + 1  # leave through slot seam+1 first
-            orbit = []
-            while True:
-                orbit.append((node, seam))
-                seen.add((node, seam))
-                node, seam, slot = step(node, seam, slot)
-                if (node, seam) == start:
-                    break
-            orbits.append(tuple(orbit))
-        return orbits
-
-    def _convenient(self):
-        """Each orbit meets each pants in a connected (single-arc) set."""
-        for orbit in self.seam_orbits:
-            counts = {}
-            for node, _ in orbit:
-                counts[node] = counts.get(node, 0) + 1
-            if any(v > 1 for v in counts.values()):
-                return False
-        return True
 
 
 def builtin_genus2_convenient():
@@ -325,9 +277,8 @@ class MarkedSurface:
     Immutable after construction; holonomy evaluation is side-effect free.
     """
 
-    def __init__(self, decomposition, coords, mp_generators, generator_names,
-                 curve_words, seam_words, placements, geoms,
-                 relator_residual):
+    def __init__(self, decomposition, coords, mp_generators, curve_words,
+                 seam_words, relator_residual):
         self.decomposition = decomposition
         self.coords = coords
         # signed letter -> extended-precision matrix, inverses formed once
@@ -336,23 +287,18 @@ class MarkedSurface:
             for i, g in enumerate(mp_generators, start=1):
                 self._mp_letters[i] = g
                 self._mp_letters[-i] = _inv(g)
-        self.generator_names = generator_names
         self.curve_words = curve_words
         self.seam_words = seam_words
-        self.placements = placements
-        self.geoms = geoms
         self.relator_residual = relator_residual
 
     def _mp_holonomy(self, word):
-        if isinstance(word, str):
-            word = curves.word_from_text(word)
         m = _MP_ID
-        for v in word:
+        for v in curves._as_word(word):
             m = _mul(m, self._mp_letters[v])
         return m
 
     def holonomy(self, word):
-        """Holonomy matrix of a word (string or signed generator indices)."""
+        """Holonomy matrix of a class, word text or letter sequence."""
         with mpmath.workdps(_DPS):
             return _to_float_matrix(self._mp_holonomy(word))
 
@@ -405,9 +351,7 @@ class MarkedSurface:
             stack = [_MP_ID]
             prev = ()
             for word in words:
-                if isinstance(word, str):
-                    word = curves.word_from_text(word)
-                word = curves.cyclic_reduce(word)
+                word = curves.cyclic_reduce(curves._as_word(word))
                 if not word:
                     out.append(SurfaceError(
                         "not a closed geodesic class: image is parabolic"))
@@ -615,12 +559,11 @@ def build_holonomy(decomposition, coords):
             worst = max(worst, _identity_residual_mp(_mul(near, far)))
             curve_matrices.append(near)
 
-        mp_generators, names, curve_words, seam_words = _genus2_marking(
+        mp_generators, curve_words, seam_words = _genus2_marking(
             decomposition, geoms, stable, curve_matrices)
 
-        surf = MarkedSurface(decomposition, coords, mp_generators, names,
-                             curve_words, seam_words, placements, geoms,
-                             worst)
+        surf = MarkedSurface(decomposition, coords, mp_generators,
+                             curve_words, seam_words, worst)
         if curve_words is not None:
             worst = max(worst, _identity_residual_mp(
                 surf._mp_holonomy(GENUS2_RELATOR)))
@@ -644,10 +587,9 @@ def _genus2_marking(decomposition, geoms, stable, curve_matrices):
     """Four-generator marking for the builtin two-pants decomposition."""
     if len(decomposition.pants) != 2 or len(stable) != 2:
         return (list(curve_matrices) + [stable[i] for i in sorted(stable)],
-                None, None, None)
+                None, None)
     root = decomposition.pants[0]
     stable_idx = sorted(stable)
     generators = [geoms[root]._X[1], geoms[root]._X[2],
                   stable[stable_idx[0]], stable[stable_idx[1]]]
-    return (generators, list(curves.GENUS2_GENERATORS),
-            list(GENUS2_CURVE_WORDS), list(GENUS2_SEAM_WORDS))
+    return generators, list(GENUS2_CURVE_WORDS), list(GENUS2_SEAM_WORDS)

@@ -101,7 +101,7 @@ class NoisyPathSpec:
     """
 
     def __init__(self, base_log_lengths, base_twists, T, stretched_index,
-                 F, G, D=5.0, seed=0, enforce_slopes=True):
+                 F, G, D=5.0, enforce_slopes=True):
         self.base_log_lengths = [float(v) for v in base_log_lengths]
         n = len(self.base_log_lengths)
         self.base_twists = ([0.0] * n if base_twists is None
@@ -115,7 +115,6 @@ class NoisyPathSpec:
         self.F = F
         self.G = G
         self.D = float(D)
-        self.seed = seed
         if F.dim != n - 1:
             raise ThurstonError("F must cover the unstretched lengths")
         if G.dim != n:
@@ -146,7 +145,7 @@ def random_noisy_spec(base_log_lengths, T, stretched_index, D=5.0, seed=0,
                                    seed, breakpoints)
     G = PiecewiseLinearPath.random(T, n, -D, D, seed + 1, breakpoints)
     return NoisyPathSpec(base_log_lengths, base_twists, T, stretched_index,
-                         F, G, D=D, seed=seed)
+                         F, G, D=D)
 
 
 def noisy_path_point(spec, t):
@@ -182,11 +181,10 @@ def symmetric_path_point(spec, t, shrunk_index):
     return FNCoordinates(lengths, coords.twists)
 
 
-def asymmetry_path_point(base_log_lengths, t, f, stretched_index=0,
-                         shrunk_index=1, T=None, samples=64):
+def asymmetry_path_point(base_log_lengths, t, f, T=None):
     """Point of the path (t, f(t), 0, ...): prescribed decreasing shrink.
 
-    `f` must be decreasing with f(0) = 0; checked on a sample grid over
+    `f` must be decreasing with f(0) = 0; checked on a 64-step grid over
     [0, max(t, T)].
     """
     horizon = max(t, T if T is not None else t)
@@ -194,16 +192,14 @@ def asymmetry_path_point(base_log_lengths, t, f, stretched_index=0,
         raise ThurstonError("need a positive horizon")
     if abs(f(0.0)) > _SLOPE_TOL:
         raise ThurstonError("f(0) must be 0")
-    grid = [horizon * i / samples for i in range(samples + 1)]
+    grid = [horizon * i / 64 for i in range(65)]
     vals = [f(x) for x in grid]
     if any(b >= a - _SLOPE_TOL * horizon
            for a, b in zip(vals, vals[1:])):
         raise ThurstonError("f must be decreasing")
-    if stretched_index == shrunk_index:
-        raise ThurstonError("shrunk and stretched coordinates must differ")
     logs = list(base_log_lengths)
-    logs[stretched_index] += t
-    logs[shrunk_index] += f(t)
+    logs[0] += t
+    logs[1] += f(t)
     return FNCoordinates([math.exp(x) for x in logs])
 
 
@@ -398,20 +394,20 @@ def verify_noisy_geodesic(spec, decomposition, sample_pairs, family,
     }
 
 
-def linf_grid_check(base_log_lengths, T, k, grid_n, family, decomposition,
-                    log_pinch=constants.LOG_PINCH_DEFAULT, rel_tol=1e-9):
+def linf_grid_check(base_log_lengths, T, k, grid_n, family, decomposition):
     """Grid certificate for the sup-metric embedding of [0, T]^k.
 
     Coordinate i of the cube moves the pair of log-lengths (2i, 2i+1) by
     (+x_i, -x_i); between two grid points the family ratio supremum must
-    equal exp(max_i |x_i - y_i|) in both directions.
+    equal exp(max_i |x_i - y_i|) in both directions, to a relative 1e-9.
     """
     n = len(base_log_lengths)
     if 2 * k > n:
         raise ThurstonError("cube dimension needs 2k coordinate slots")
     if grid_n < 2:
         raise ThurstonError("need at least a 2-point grid")
-    if any(x > log_pinch + _SLOPE_TOL for x in base_log_lengths):
+    if any(x > constants.LOG_PINCH_DEFAULT + _SLOPE_TOL
+           for x in base_log_lengths):
         raise ThurstonError("base log-lengths above the pinching threshold")
 
     def embed(x):
@@ -443,9 +439,9 @@ def linf_grid_check(base_log_lengths, T, k, grid_n, family, decomposition,
             axis = max(range(k), key=lambda i: diffs[i])
             for src, dst in ((a, b), (b, a)):
                 cert = certs[src, dst]
-                ok = (abs(cert.sup_ratio - expected) <= rel_tol * expected
+                ok = (abs(cert.sup_ratio - expected) <= 1e-9 * expected
                       if max(diffs) > 0
-                      else cert.sup_ratio <= 1.0 + rel_tol)
+                      else cert.sup_ratio <= 1.0 + 1e-9)
                 results.append({
                     "from": src, "to": dst,
                     "expected": expected,

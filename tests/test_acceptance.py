@@ -272,7 +272,7 @@ def test_criterion_09_noisy_geodesic_certificate(dec):
 def test_criterion_10_linf_grid(dec):
     family = [c.word for c in curves.enumerate_conj_classes(2, 4)]
     report = thurston.linf_grid_check([-13.0, -12.5, -12.2], 1.0, 1, 5,
-                                      family, dec, rel_tol=1e-9)
+                                      family, dec)
     n_pairs = len(report["pairs"])
     ok = report["passed"] and n_pairs == 20
     _line(10, ok, "%d directed pairs, all within rel 1e-9" % n_pairs)

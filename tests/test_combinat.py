@@ -78,7 +78,6 @@ def test_two_pants_crossings(thick):
     assert seq.intersection_number == 2
     assert sorted(e.curve for e in seq.p_entries) == [1, 2]
     assert seq.period == pytest.approx(thick.curve_length("c"), rel=1e-12)
-    assert seq.period_multiplicity == 1
 
 
 def isometry_gens(frame):
@@ -697,7 +696,6 @@ def test_cyclic_order_matches_angle_formula():
 
 def test_primitive_root_multiplicity(thick):
     seq = intersection_sequence(thick, "cdcd", search_depth=8)
-    assert seq.period_multiplicity == 2
     base = intersection_sequence(thick, "cd", search_depth=8)
     # the square runs along the same axis for twice the period, so every
     # count per period doubles

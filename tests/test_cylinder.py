@@ -88,7 +88,6 @@ def test_identity_map_sampled_sup_is_one():
     report = sampled_lipschitz(m, 500, seed=7)
     assert abs(report.sampled_sup - 1.0) < 1e-12
     assert report.theoretical == 1.0
-    assert report.seed == 7
 
 
 def test_core_pair_attains_forward_constant():
@@ -121,8 +120,6 @@ def test_degenerate_pairs_skipped():
     m = ModelMap(0.5, 2.0, 1.0, 1.5)
     assert cylinder._pair_ratio(m, (0.2, 0.3), (0.2, 0.3)) is None
     report = sampled_lipschitz(m, 50, seed=5)
-    assert report.sample_count >= 50
-    assert report.skipped >= 0
 
 
 def test_lipschitz_csv_row():
@@ -239,12 +236,6 @@ def test_excursion_log_window_bound():
 
 # --- spiral residue ------------------------------------------------------------
 
-def test_crossing_residue_at_zero_is_exactly_2R():
-    for a in (0.3, 1e-2, 1e-5):
-        R = math.acosh(1.0 / a)
-        assert abs(spiral_residue(a, 0.0, crossing=True) - 2 * R) < 1e-12 * R
-
-
 def test_noncrossing_residue_matches_direct_chord():
     for a, t in [(0.01, 100.0), (0.05, 50.0), (1e-3, 5000.0)]:
         x0 = math.sqrt(1 - a * a)
@@ -252,21 +243,6 @@ def test_noncrossing_residue_matches_direct_chord():
         q = hyp2.PlanePoint(x0 * math.exp(t * a), a * math.exp(t * a))
         direct = hyp2.distance(p, q) - t * a
         assert abs(spiral_residue(a, t) - direct) < 1e-10
-
-
-def test_crossing_residue_band():
-    for a in (1e-1, 1e-2, 1e-4, 1e-6):
-        R = math.acosh(1.0 / a)
-        for t in (0.0, 1.0, 1e2, 1e5, 1e8):
-            res = spiral_residue(a, t, crossing=True)
-            assert 2 * R - constants.C_CROSSING <= res <= 2 * R + 1e-12
-
-
-def test_crossing_length_monotone_in_t():
-    a = 1e-3
-    ts = [0.0, 1.0, 10.0, 1e2, 1e4, 1e6]
-    lengths = [spiral_residue(a, t, crossing=True) + t * a for t in ts]
-    assert all(u < v for u, v in zip(lengths, lengths[1:]))
 
 
 def test_residue_vs_double_excursion():

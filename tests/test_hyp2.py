@@ -24,6 +24,13 @@ def random_point(rng):
     return PlanePoint(rng.uniform(-5, 5), math.exp(rng.uniform(-3, 3)))
 
 
+def close(p, q, tol):
+    """Boundary points within tol, relative to the larger magnitude."""
+    if p.is_infinity or q.is_infinity:
+        return p.is_infinity and q.is_infinity
+    return abs(p.value - q.value) <= tol * max(1.0, abs(p.value), abs(q.value))
+
+
 def test_identity_fixes_i():
     p = mobius_apply(IsometryMatrix.identity(), PlanePoint(0, 1))
     assert p.x == 0.0 and p.y == 1.0
@@ -59,7 +66,7 @@ def test_group_laws_random_triples():
 
 def test_determinant_normalized():
     m = IsometryMatrix(3.0, 1.0, 2.0, 1.0)
-    assert abs(m.det - 1.0) <= 1e-12
+    assert abs(m.m11 * m.m22 - m.m12 * m.m21 - 1.0) <= 1e-12
 
 
 def test_long_chains_renormalize():
@@ -70,7 +77,7 @@ def test_long_chains_renormalize():
     g = random_isometry(rng)
     for _ in range(200):
         m = m @ g @ g.inverse()
-    assert abs(m.det - 1.0) <= 1e-10
+    assert abs(m.m11 * m.m22 - m.m12 * m.m21 - 1.0) <= 1e-10
 
 
 def test_distance_basics():
@@ -99,7 +106,7 @@ def test_distance_triangle_inequality():
 def test_translation_length_identity():
     tl = translation_length(IsometryMatrix.identity())
     assert tl.length == 0.0
-    assert tl.kind == "parabolic" and tl.boundary_flag
+    assert tl.kind == "parabolic"
 
 
 def test_translation_length_diagonal():
@@ -146,8 +153,8 @@ def test_axis_endpoints_equivariance():
         line = axis_endpoints(m)
         exp_rep = mobius_boundary(g, BoundaryPoint(0.0))
         exp_att = mobius_boundary(g, BoundaryPoint.inf())
-        assert line.start.close_to(exp_rep, tol=1e-8)
-        assert line.end.close_to(exp_att, tol=1e-8)
+        assert close(line.start, exp_rep, 1e-8)
+        assert close(line.end, exp_att, 1e-8)
 
 
 def test_axis_endpoints_fixed_and_attracting():
@@ -158,7 +165,7 @@ def test_axis_endpoints_fixed_and_attracting():
         line = axis_endpoints(m)
         for e in (line.start, line.end):
             img = mobius_boundary(m, e)
-            assert img.close_to(e, tol=1e-10) or (e.is_infinity and img.is_infinity)
+            assert close(img, e, 1e-10) or (e.is_infinity and img.is_infinity)
         # iteration converges to the attracting endpoint
         p = PlanePoint(0.123, 1.0)
         for _ in range(60):
@@ -181,7 +188,7 @@ def test_axis_endpoints_upper_triangular_fixed():
         line = axis_endpoints(m)
         for e in (line.start, line.end):
             img = mobius_boundary(m, e)
-            assert img.close_to(e, tol=1e-12) or (
+            assert close(img, e, 1e-12) or (
                 e.is_infinity and img.is_infinity)
 
 
@@ -248,8 +255,8 @@ def test_translation_along_arbitrary_line():
     tl = translation_length(m)
     assert abs(tl.length - 0.7) < 1e-12
     ax = axis_endpoints(m)
-    assert ax.start.close_to(line.start, tol=1e-9)
-    assert ax.end.close_to(line.end, tol=1e-9)
+    assert close(ax.start, line.start, 1e-9)
+    assert close(ax.end, line.end, 1e-9)
 
 
 def test_foot_parameter_and_point_on_line():

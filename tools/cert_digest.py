@@ -124,7 +124,7 @@ def main(argv=None):
                        curves.enumerate_conj_classes(2, 5))
     runs.append(("criterion 9", lambda: criterion_9(thurston, dec, family4)))
     runs.append(("criterion 10", lambda: thurston.linf_grid_check(
-        CRITERION_BASE, 1.0, 1, 5, family4, dec, rel_tol=1e-9)))
+        CRITERION_BASE, 1.0, 1, 5, family4, dec)))
     whole = hashlib.sha256()
     for label, run in runs:
         del recorded[:]
