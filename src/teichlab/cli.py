@@ -187,10 +187,8 @@ def _noisy_spec_from_config(cfg):
     except KeyError as ex:
         raise UsageError("config missing knob %s" % ex)
     d_const = float(cfg.get("D", 5.0))
-    breakpoints = int(cfg.get("breakpoints",
-                              constants.NOISE_BREAKPOINTS_DEFAULT))
     return thurston.random_noisy_spec(base, horizon, stretched, D=d_const,
-                                      seed=seed, breakpoints=breakpoints)
+                                      seed=seed)
 
 
 def cmd_thurston_verify_noisy(args, rep):

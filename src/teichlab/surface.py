@@ -20,24 +20,26 @@ vertices, X) are built on every build although only tests read them, and
 building them raises Hyp2Error once a cuff is below about 2e-6, where two
 float endpoints coincide (the bench's known defect 1).
 
-Two kernels fold words into traces.  `curve_traces` multiplies the
-80-digit letters, and every length the module returns is the 80-digit
-acosh of such a trace, bit for bit: the CLI, the cone checks, the
-distortion bounds and the exact lengths of ratio certificates read those.
-`length_estimates` folds the same letters over scaled integers, carrying
-an error radius, in about a fifth of the time; only the screen of the
-ratio certificates reads it, because its traces are not the 80-digit ones
-and a length from them can differ in the last bit.  `build_holonomy`
-stays on mpmath, whose exp, cos and sin its matrices need.
-`verify_limit_cone` stays on `curve_lengths`: its lengths must keep every
-bit, and of a 0.4 s unit on three L5 surfaces the three folds take
-0.18 s and the 6,222 80-digit acosh calls 0.19 s, which the integer fold
-would not remove.
+One kernel folds words into traces: `_int_traces` multiplies the
+80-digit letters, which are dyadic rationals, over scaled integers and
+carries a radius that bounds its distance to the exact trace of their
+exact product.  Each length the module returns is defined as the double
+nearest the exact length 2 acosh(t/2) of that trace.  The radius and an
+outward-rounded root and log enclose the length (`_length`); where the
+enclosure holds a midpoint between two doubles, the word is folded again
+at twice the bits (A. Ziv, ACM TOMS 17(3), 1991) up to a stated cap.
+The exact length is never a midpoint, and the enclosure shrinks with the
+bits, so the refolds end.  The CLI, the cone checks, the distortion
+bounds and the ratio certificates read these lengths; the certificates'
+screen reads float estimates of the same fold (`length_estimates`).
+`build_holonomy` stays on mpmath, whose exp, cos and sin its matrices
+need.
 """
 
 import math
 
 import mpmath
+from mpmath import libmp
 
 from . import curves, pants
 from .hyp2 import BoundaryPoint, GeodesicLine, IsometryMatrix, PlanePoint
@@ -312,101 +314,67 @@ class MarkedSurface:
     def curve_lengths(self, words):
         """Translation lengths of the words' holonomies, in the order given.
 
-        Each entry is a float, or the SurfaceError that `curve_length`
-        raises for a word whose image is not hyperbolic: the exact lengths
-        `_trace_lengths` of the traces of `curve_traces`.
+        Each entry is the double nearest the exact length of the exact
+        product of the 80-digit letters (`_length`), or the SurfaceError
+        that `curve_length` raises for a word whose image is not
+        hyperbolic.  Each word is cyclically reduced first
+        (`curves.cyclic_reduce`), which keeps its conjugacy class: folding
+        a conjugate such as cdCD a (cdCD)^-1 as given passes through
+        entries large enough that the trace's excess over 2 drowns in the
+        fold's radius on pinched surfaces.  A word that reduces to nothing
+        gets the error of `aA` (parabolic).  The words that a fold at
+        `_BITS` bits leaves undecided are folded again at twice the bits;
+        one still undecided past `_MAX_BITS` raises a SurfaceError.
         """
-        return _trace_lengths(self.curve_traces(words))
-
-    def curve_traces(self, words):
-        """80-digit |trace| of the words' holonomies, in the order given.
-
-        Each entry is an mpf above 2, or the SurfaceError that
-        `curve_length` raises for a word whose image is not hyperbolic.
-        Each word is cyclically reduced first (`curves.cyclic_reduce`),
-        which keeps its conjugacy class: folding a conjugate such as
-        cdCD a (cdCD)^-1 as given passes through entries large enough that
-        the trace's excess over 2 drowns in rounding on pinched surfaces.
-        A word that reduces to nothing gets the error of `aA` (parabolic).
-        The trace stays in extended precision: the cancellation in tr - 2
-        is of order exp(4 * axis distance) and exceeds what float64
-        carries for short cuffs.
-
-        The holonomy of a reduced word is the same left fold from the
-        identity as `_mp_holonomy`, so every trace is bit-identical to a
-        word-by-word evaluation of the reduced word.  A stack holds the
-        products of the previous word's proper prefixes; a word reuses
-        those of its common prefix with it, forms one product per further
-        letter but the last, and takes only the trace of its last product.
-        Words that share prefixes should come in a row (enumeration order
-        does this); any order gives the same traces.  This fold is the one
-        place where length batches form prefix products.
-        """
-        letters = self._mp_letters
-        out = []
-        with mpmath.workdps(_DPS):
-            # stack[k]: product of the first k letters of `prev`; it never
-            # holds the product of a whole word, so the reuse is capped at
-            # the stack height
-            stack = [_MP_ID]
-            prev = ()
-            for word in words:
-                word = curves.cyclic_reduce(curves._as_word(word))
-                if not word:
-                    out.append(SurfaceError(
-                        "not a closed geodesic class: image is parabolic"))
-                    continue
-                k = 0
-                top = min(len(word), len(stack)) - 1
-                while k < top and word[k] == prev[k]:
-                    k += 1
-                del stack[k + 1:]
-                for v in word[k:-1]:
-                    stack.append(_mul(stack[-1], letters[v]))
-                prev = word
-                m = stack[-1]
-                g = letters[word[-1]]
-                # the diagonal of _mul(m, g), summed as _mul rounds it
-                t = abs((m[0] * g[0] + m[1] * g[2])
-                        + (m[2] * g[1] + m[3] * g[3]))
-                if t <= 2:
-                    kind = "parabolic" if abs(t - 2) < 1e-40 else "elliptic"
-                    out.append(SurfaceError(
-                        "not a closed geodesic class: image is %s" % kind))
-                else:
-                    out.append(t)
+        words = [curves.cyclic_reduce(curves._as_word(w)) for w in words]
+        out = [None] * len(words)
+        todo, bits = range(len(words)), _BITS
+        while todo:
+            if bits > _MAX_BITS:
+                raise SurfaceError(
+                    "length of %s not decided within the cap of %d bits"
+                    % (curves.word_to_text(words[todo[0]]), _MAX_BITS))
+            traces = self._int_traces([words[i] for i in todo], bits)
+            for i, trace in zip(todo, traces):
+                out[i] = (_length(*trace, bits) if trace else SurfaceError(
+                    "not a closed geodesic class: image is parabolic"))
+            todo, bits = [i for i in todo if out[i] is None], 2 * bits
         return out
 
     def length_estimates(self, words):
         """Float lengths of cyclically reduced words, with error bounds.
 
         Each entry is a pair (length, rel) or None.  `_int_traces` gives
-        each word's |trace| with a radius that bounds its distance to the
-        trace `curve_traces` returns, and rel bounds the relative distance
+        each word's |trace| at `_BITS` bits with a radius that bounds its
+        distance to the exact trace, and rel bounds the relative distance
         between the lengths of the two traces (`_estimate`); the float
         rounding of the length is a few ulps on top.  None marks a word
-        this fold cannot decide: an empty word, |trace| - 2 within the
-        radius, or a trace beyond the float range.
+        this fold cannot decide: an empty word, |trace| - 2 not above 1e-40
+        over the radius, or a trace beyond the float range.
         """
         return [None if t is None else _estimate(*t)
-                for t in self._int_traces(words)]
+                for t in self._int_traces(words, _BITS)]
 
-    def _int_traces(self, words):
+    def _int_traces(self, words, bits):
         """|trace| n 2^e of each cyclically reduced word, as (n, e, radius).
 
-        The fold of `curve_traces` (the same prefix stack and diagonal-only
-        last step) over scaled integers: each letter is four ints with one
-        binary exponent, holding the 80-digit entries exactly, and each
-        product keeps `_BITS` bits of its largest entry.  The integer
-        radius, in units of 2^e, bounds both this trace's and the 80-digit
-        trace's distance to the exact trace of the letters' product.  Per
-        product it grows by the propagated radius, the truncation and a
-        bound on the 80-digit fold's roundings: each entry is a sum of two
-        products rounded three times at 269 bits, off by at most
-        gamma_2 < 2^-266 of the sum of the absolute terms (N. J. Higham,
-        "Accuracy and Stability of Numerical Algorithms", 2002, sec. 3.1);
-        the trace's four terms are rounded three times each.  An empty
-        word gives None.
+        The one fold of words into traces.  Each letter is four ints with
+        one binary exponent, which hold the 80-digit entries exactly, and
+        each product keeps `bits` bits of its largest entry.  The integer
+        radius, in units of 2^e, bounds the distance to the exact trace of
+        the letters' exact product: a product's entries are sums of two
+        terms, so it carries the previous radius times the letter's
+        largest column sum, and a truncation adds one unit for the
+        rounded-up radius and one for the floor of each entry.  A product
+        that was not truncated is exact and adds nothing, so the radius
+        shrinks as the bits grow.
+
+        A stack holds the products of the previous word's proper
+        prefixes; a word reuses those of its common prefix with it, forms
+        one product per further letter but the last, and takes only the
+        diagonal of its last product.  Words that share prefixes should
+        come in a row (enumeration order does this); any order gives the
+        same traces.  An empty word gives None.
         """
         letters = {}
         for v, m in self._mp_letters.items():
@@ -415,13 +383,13 @@ class MarkedSurface:
             a = [(-1 if sign else 1) * (int(man) << (exp - e))
                  for sign, man, exp, _ in parts]
             # max column sum and sum of |entries|: what a product's and a
-            # trace's errors scale with
+            # trace's radii scale with
             col = max(abs(a[0]) + abs(a[2]), abs(a[1]) + abs(a[3]))
             letters[v] = (*a, e, col, sum(map(abs, a)))
         out = []
-        # stack[k]: (p0, p1, p2, p3, e, radius, bound on max |p_i|) for the
-        # product of the first k letters of `prev`
-        stack = [(1, 0, 0, 1, 0, 0, 1)]
+        # stack[k]: (p0, p1, p2, p3, e, radius) for the product of the
+        # first k letters of `prev`; it never holds a whole word's product
+        stack = [(1, 0, 0, 1, 0, 0)]
         prev = ()
         for word in words:
             if not word:
@@ -432,34 +400,30 @@ class MarkedSurface:
             while k < top and word[k] == prev[k]:
                 k += 1
             del stack[k + 1:]
-            p0, p1, p2, p3, e, r, b = stack[-1]
+            p0, p1, p2, p3, e, r = stack[-1]
             for v in word[k:-1]:
                 a0, a1, a2, a3, ea, c, _ = letters[v]
-                q0, q1 = p0 * a0 + p1 * a2, p0 * a1 + p1 * a3
-                q2, q3 = p2 * a0 + p3 * a2, p2 * a1 + p3 * a3
-                r = r * c + ((b + r) * c >> _MP_ROUND_SHIFT) + 1
-                b = max(abs(q0), abs(q1), abs(q2), abs(q3))
-                s = b.bit_length() - _BITS
+                p0, p1 = p0 * a0 + p1 * a2, p0 * a1 + p1 * a3
+                p2, p3 = p2 * a0 + p3 * a2, p2 * a1 + p3 * a3
+                r *= c
                 e += ea
+                s = max(abs(p0), abs(p1), abs(p2), abs(p3)).bit_length() - bits
                 if s > 0:
-                    q0, q1, q2, q3 = q0 >> s, q1 >> s, q2 >> s, q3 >> s
+                    p0, p1, p2, p3 = p0 >> s, p1 >> s, p2 >> s, p3 >> s
                     e += s
-                    # the radius rounds up, and each floor shift moves
-                    # its entry by less than one more unit
-                    r, b = (r >> s) + 2, (b >> s) + 1
-                p0, p1, p2, p3 = q0, q1, q2, q3
-                stack.append((p0, p1, p2, p3, e, r, b))
+                    r = (r >> s) + 2
+                stack.append((p0, p1, p2, p3, e, r))
             prev = word
             a0, a1, a2, a3, ea, _, g = letters[word[-1]]
             out.append((abs(p0 * a0 + p1 * a2 + p2 * a1 + p3 * a3), e + ea,
-                        r * g + ((b + r) * g >> _MP_ROUND_SHIFT) + 1))
+                        r * g))
         return out
 
 
-# bits the integer screen fold keeps of each product's largest entry
+# bits the fold keeps of each product's largest entry, at first; refolds
+# double them up to the cap
 _BITS = 272
-# 2^-266 bounds the relative error of the 80-digit fold's rounded sums
-_MP_ROUND_SHIFT = 266
+_MAX_BITS = 16 * _BITS
 
 
 def _estimate(n, e, radius):
@@ -472,13 +436,13 @@ def _estimate(n, e, radius):
     length's log-derivative is at most t/(t^2 - 4), from
     acosh(y) >= sqrt(y^2 - 1)/y, and it falls as t grows, so it is taken
     at the radius's low end and doubled to cover the float roundings of
-    the bound.  None when d is not above the radius or t is beyond the
-    float range.
+    the bound.  None when d is not above 1e-40 over the whole radius, so
+    the trace is not surely hyperbolic, or t is beyond the float range.
     """
     if e > 0:
         n, radius, e = n << e, radius << e, 0
     d = n - (2 << -e)
-    if d <= radius:
+    if (d - radius) * 10 ** 40 < 1 << -e:
         return None
     try:
         x = math.ldexp(n, e)
@@ -491,15 +455,62 @@ def _estimate(n, e, radius):
     return length, 2.0 * (radius / (d - radius)) * (x / (x + 2.0))
 
 
-def _trace_lengths(traces):
-    """Translation lengths 2 acosh(t/2) of 80-digit |traces| t > 2.
+def _length(n, e, radius, bits):
+    """The double nearest 2 acosh(t/2) for a |trace| t within radius 2^e
+    of n 2^e: None when the enclosure does not decide it, and a
+    SurfaceError when every t in it is parabolic (|t - 2| < 1e-40) or
+    every one elliptic (below that).
 
-    The acosh runs at 80 digits and only its result is rounded to a
-    float.  SurfaceError entries pass through.
+    The length is 2 log y with y = (t + sqrt((t - 2)(t + 2)))/2, which
+    increases with t, so it is enclosed by its values at the ends of the
+    trace's enclosure.  At each end the product under the root is an
+    exact integer P; `math.isqrt` floors the root of P 4^k, and one unit
+    more bounds it above, so y is an exact dyadic rational on the outer
+    side, off by less than 2^(1 - bits) of y - 1 since k gives the root
+    at least `bits` bits.  libmp's log works in fixed point with 20 guard
+    bits, plus the bits that cancel near y = 1, and rounds once to `bits`
+    bits: the guard bits hold its error, the truncation of y to its
+    working precision included, below one unit in the last place, 2^(1 -
+    bits) of the result, so moving the result outward by 2^(2 - bits) of
+    itself bounds log y.  A double is decided when both ends round to it
+    and neither is a midpoint between two doubles, which has a 54-bit
+    mantissa; doubling is exact and maps midpoints to midpoints.  Every
+    term of the enclosure's width shrinks as the bits grow; the exact
+    length is 2 log y for an algebraic y > 1, which is not rational
+    (Lindemann-Weierstrass), so it is never a midpoint, and a dyadic t
+    is never on a threshold: enough bits decide every word.
     """
-    with mpmath.workdps(_DPS):
-        return [t if isinstance(t, SurfaceError)
-                else float(2 * mpmath.acosh(t / 2)) for t in traces]
+    # the bits below the radius's leading eight carry nothing
+    s = radius.bit_length() - 8
+    if s > 0:
+        n, radius, e = n >> s, (radius >> s) + 2, e + s
+    if e > 0:
+        n, radius, e = n << e, radius << e, 0
+    two = 2 << -e
+    ends = (n - radius, 0), (n + radius, 1)
+    kinds = {"parabolic" if abs(m - two) * 10 ** 40 < 1 << -e
+             else "elliptic" if m < two else None for m, _ in ends}
+    if len(kinds) > 1:
+        return None
+    kind, = kinds
+    if kind:
+        return SurfaceError("not a closed geodesic class: image is %s" % kind)
+    logs = []
+    for m, up in ends:
+        product = (m - two) * (m + two)
+        k = max(0, bits - product.bit_length() // 2)
+        # y = (m 2^k + root) 2^(e - k - 1)
+        y = libmp.from_man_exp((m << k) + math.isqrt(product << 2 * k) + up,
+                               e - k - 1)
+        log = libmp.mpf_log(y, bits, libmp.round_nearest)
+        slack = libmp.mpf_shift(log, 2 - bits)
+        logs.append(libmp.mpf_add(log, slack) if up
+                    else libmp.mpf_sub(log, slack))
+    x = libmp.to_float(logs[0], rnd=libmp.round_nearest)
+    if (x == libmp.to_float(logs[1], rnd=libmp.round_nearest)
+            and 54 not in (logs[0][3], logs[1][3])):
+        return 2.0 * x
+    return None
 
 
 def build_holonomy(decomposition, coords):

@@ -11,13 +11,13 @@ curve classes never beats it.  The full supremum over all classes is not
 recomputed; every report is a family-restricted certificate.
 
 A certificate reads one batch of length estimates per surface
-(`MarkedSurface.length_estimates`, a scaled-integer fold whose error
-radius is computed).  The estimates rank the words, and only the words
-whose estimated ratio can reach the supremum or the witness band, or
-whose estimate is undecided, get 80-digit traces and exact lengths
-(80-digit acosh, as `curve_lengths`).  The screen's margin covers the
-estimates' error many times over, so the supremum, the witness and the
-counts equal those of exact lengths for every word (see
+(`MarkedSurface.length_estimates`, float lengths of the one trace fold
+with a computed error radius).  The estimates rank the words, and only
+the words whose estimated ratio can reach the supremum or the witness
+band, or whose estimate is undecided, get exact lengths (`curve_lengths`,
+the doubles nearest the lengths of the exact traces).  The screen's
+margin covers the estimates' error many times over, so the supremum, the
+witness and the counts equal those of exact lengths for every word (see
 `_sup_certificate`).
 """
 
@@ -79,13 +79,12 @@ class PiecewiseLinearPath:
         return cls(T, [(0.0,) * dim, (0.0,) * dim])
 
     @classmethod
-    def random(cls, T, dim, lo, hi, seed,
-               breakpoints=constants.NOISE_BREAKPOINTS_DEFAULT):
+    def random(cls, T, dim, lo, hi, seed):
         """Random admissible path: iid segment slopes in [lo, hi]."""
         rng = random.Random(seed)
-        step = T / breakpoints
+        step = T / constants.NOISE_BREAKPOINTS_DEFAULT
         rows = [(0.0,) * dim]
-        for _ in range(breakpoints):
+        for _ in range(constants.NOISE_BREAKPOINTS_DEFAULT):
             rows.append(tuple(v + rng.uniform(lo, hi) * step
                               for v in rows[-1]))
         return cls(T, rows)
@@ -137,13 +136,11 @@ class NoisyPathSpec:
 
 
 def random_noisy_spec(base_log_lengths, T, stretched_index, D=5.0, seed=0,
-                      breakpoints=constants.NOISE_BREAKPOINTS_DEFAULT,
                       base_twists=None):
     """Admissible spec with seeded random noise paths."""
     n = len(base_log_lengths)
-    F = PiecewiseLinearPath.random(T, n - 1, -min(D, 1.0), 1.0,
-                                   seed, breakpoints)
-    G = PiecewiseLinearPath.random(T, n, -D, D, seed + 1, breakpoints)
+    F = PiecewiseLinearPath.random(T, n - 1, -min(D, 1.0), 1.0, seed)
+    G = PiecewiseLinearPath.random(T, n, -D, D, seed + 1)
     return NoisyPathSpec(base_log_lengths, base_twists, T, stretched_index,
                          F, G, D=D)
 
@@ -236,25 +233,26 @@ _WITNESS_BAND = 1e-12
 _SCREEN_REL_ERR = 1e-13
 
 
-def _sup_certificate(words, x_estimates, y_estimates, exact_traces):
+def _sup_certificate(words, x_estimates, y_estimates, x_surface, y_surface):
     """The certificate of `ratio_sup` from the length estimates of its words.
 
     Every word with a decided estimate on both surfaces, a trace part
     rx + ry <= delta/2 and a finite positive estimated ratio
     e = l~_Y/l~_X is screened; E is the largest screened e, w the witness
     band and delta = `_SCREEN_REL_ERR`.  The candidates are the other
-    words and the screened words with e >= E (1 - w)(1 - 2 delta).
-    `exact_traces(indices)` returns the candidates' `curve_traces` on X
-    and on Y; a candidate whose trace is not hyperbolic on either surface
-    is skipped, and the others get exact lengths and exact ratios r.
+    words and the screened words with e >= E (1 - w)(1 - 2 delta).  They
+    get `curve_lengths` on X and on Y; a candidate that is not hyperbolic
+    on either surface is skipped, and the others get exact ratios r of
+    their exact lengths.
 
-    Why this changes nothing: a screened word's lengths are within rx and
-    ry of the lengths of its exact traces (the trace part), and the float
-    part (the estimates' acosh or asinh, the exact lengths' rounding and
-    the division) is below 1e-15, so |e/r - 1| <= delta.  A screened
-    word's traces are above 2, so it is not skipped, and the skipped
-    words are those whose exact traces are not hyperbolic, as for exact
-    lengths of every word.  Let R be the exact supremum and u a word with
+    Why this changes nothing: a screened word's estimated lengths are
+    within rx and ry of the lengths of its exact traces (the trace part),
+    and the float part (the estimates' acosh or asinh, the half ulp by
+    which an exact length is rounded and the division) is below 1e-15,
+    so |e/r - 1| <= delta.  A screened word's exact traces exceed 2 by
+    at least 1e-40 (`surface._estimate`), so it is hyperbolic and not
+    skipped, and the skipped words are those whose exact traces are not
+    hyperbolic, as for exact lengths of every word.  Let R be the exact supremum and u a word with
     r_u >= R (1 - w), as the supremum's word and every witness-band word
     are.  If u is screened and E = e_v then E <= (1 + delta) r_v
     <= (1 + delta) R, so e_u >= (1 - delta)(1 - w) R
@@ -281,10 +279,9 @@ def _sup_certificate(words, x_estimates, y_estimates, exact_traces):
                                              * (1.0 - 2.0 * _SCREEN_REL_ERR))
         candidates += [i for ratio, i in screened if ratio >= bar]
     error = surface_mod.SurfaceError
-    lengths = surface_mod._trace_lengths
-    x_traces, y_traces = exact_traces(candidates)
-    evaluated = [(words[i], ly / lx) for i, lx, ly in zip(
-        candidates, lengths(x_traces), lengths(y_traces))
+    batch = [words[i] for i in candidates]
+    evaluated = [(w, ly / lx) for w, lx, ly in zip(
+        batch, x_surface.curve_lengths(batch), y_surface.curve_lengths(batch))
         if not isinstance(lx, error) and not isinstance(ly, error)]
     skipped = len(candidates) - len(evaluated)
     if skipped == len(words):
@@ -300,33 +297,25 @@ def _sup_certificate(words, x_estimates, y_estimates, exact_traces):
 def _certificates(surfaces, family, pairs):
     """`ratio_sup` certificates for index pairs (x, y) into `surfaces`.
 
-    Each word is cyclically reduced once, each surface estimates the
-    family's lengths once, and every pair reads those batches; only a
-    pair's candidates go through `curve_traces`.
+    Each surface estimates the family's lengths once, and every pair
+    reads those batches; only a pair's candidates go through
+    `curve_lengths`.
     """
     words = [curves._as_word(cls) for cls in family]
     reduced = [curves.cyclic_reduce(w) for w in words]
     estimates = [s.length_estimates(reduced) for s in surfaces]
-
-    def certificate(x, y):
-        def exact_traces(indices):
-            batch = [reduced[i] for i in indices]
-            return (surfaces[x].curve_traces(batch),
-                    surfaces[y].curve_traces(batch))
-        return _sup_certificate(words, estimates[x], estimates[y],
-                                exact_traces)
-
-    return [certificate(x, y) for x, y in pairs]
+    return [_sup_certificate(words, estimates[x], estimates[y], surfaces[x],
+                             surfaces[y]) for x, y in pairs]
 
 
 def ratio_sup(x_surface, y_surface, family, designated=None, expected=None):
     """Max of l_Y/l_X over the family; ties break by canonical word order.
 
-    The supremum and witness come from exact lengths (80-digit acosh, as
-    `curve_lengths`) of the words a screen of length estimates leaves in
-    reach of them; the screen's margin makes them equal to the supremum
-    and witness of exact lengths for all words (`_sup_certificate`).  The
-    designated word's ratio, when given, is exact.
+    The supremum and witness come from exact lengths (`curve_lengths`)
+    of the words a screen of length estimates leaves in reach of them;
+    the screen's margin makes them equal to the supremum and witness of
+    exact lengths for all words (`_sup_certificate`).  The designated
+    word's ratio, when given, is exact.
     """
     cert, = _certificates([x_surface, y_surface], family, [(0, 1)])
     if designated is not None and expected is not None:

@@ -52,6 +52,19 @@ def test_hexagon_system_excludes_members_and_powers(thick):
     assert not system.excludes(combinat._normalize_word("aB"))
 
 
+def test_hexagon_system_needs_the_builtin_marking():
+    # the genus-3 graph of test_surface.py has no curve or seam words
+    edges = [(0, 1, 1, 1), (0, 2, 1, 2), (0, 3, 2, 1), (1, 3, 2, 2),
+             (2, 3, 3, 1), (3, 2, 3, 3)]
+    s = build_holonomy(surface.PantsDecomposition([0, 1, 2, 3], edges),
+                       FNCoordinates([1.0, 1.2, 0.9, 1.4, 1.1, 0.8]))
+    for call in (lambda: HexagonSystem(s),
+                 lambda: intersection_sequence(s, (1, 2))):
+        with pytest.raises(CombinatError,
+                           match="needs the builtin genus-2 marking"):
+            call()
+
+
 def test_excluded_class_rejected(thick):
     with pytest.raises(CombinatError, match="excluded"):
         intersection_sequence(thick, "a")

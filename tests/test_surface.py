@@ -3,6 +3,7 @@ import random
 
 import mpmath
 import pytest
+from mpmath import iv, libmp
 from hypothesis import given, settings, strategies as st
 
 from teichlab import curves, hyp2, pants, surface
@@ -252,33 +253,64 @@ def batch_surfaces():
             builtin_surface([1e-3, 2e-4, 5e-4])]
 
 
-def _reference_length(s, word):
-    """2 acosh(|tr|/2) of the word-by-word fold of the cyclically reduced
-    word, or the expected message."""
-    word = curves.cyclic_reduce(curves._as_word(word))
-    if not word:
-        # the identity, whatever the rounded trace of the fold
-        return "not a closed geodesic class: image is parabolic"
-    with mpmath.workdps(surface._DPS):
-        m = s._mp_holonomy(word)
-        t = abs(m[0] + m[3])
-        if t <= 2:
-            kind = "parabolic" if abs(t - 2) < 1e-40 else "elliptic"
-            return "not a closed geodesic class: image is %s" % kind
-        return float(2 * mpmath.acosh(t / 2))
+def _oracle_lengths(s, words, dps=160):
+    """For each word, the double nearest the length of the exact product of
+    the surface's letters, or the message `curve_length` raises for it.
+
+    Each cyclically reduced word is folded from the left in `mpmath.iv`
+    interval arithmetic at `dps` digits, and 2 log((t + sqrt(t^2 - 4))/2)
+    of its |trace| t is enclosed the same way.  The oracle asserts that
+    its enclosure decides: no classification threshold and no midpoint
+    between two doubles lies in it.
+    """
+    message = "not a closed geodesic class: image is %s"
+    prec = iv.prec
+    iv.dps = dps
+    try:
+        letters = {v: tuple(iv.mpf(x) for x in m)
+                   for v, m in s._mp_letters.items()}
+        # left-fold products of every prefix met so far
+        folds = {(): (iv.mpf(1), iv.mpf(0), iv.mpf(0), iv.mpf(1))}
+        out = []
+        for word in words:
+            word = curves.cyclic_reduce(curves._as_word(word))
+            if not word:
+                out.append(message % "parabolic")
+                continue
+            for k in range(1, len(word) + 1):
+                if word[:k] not in folds:
+                    folds[word[:k]] = surface._mul(folds[word[:k - 1]],
+                                                   letters[word[k - 1]])
+            m = folds[word]
+            t = abs(m[0] + m[3])
+            with mpmath.workdps(2 * dps):
+                low, high = (mpmath.mpf(v) - 2 for v in t._mpi_)
+            # |t - 2| < 1e-40 is parabolic, with a margin for the interval
+            kind = ("hyperbolic" if low > 1.01e-40 else
+                    "elliptic" if high < -1.01e-40 else
+                    "parabolic" if -0.99e-40 < low and high < 0.99e-40
+                    else None)
+            assert kind is not None, (word, "oracle undecided")
+            if kind != "hyperbolic":
+                out.append(message % kind)
+                continue
+            low, high = (2 * iv.log((t + iv.sqrt((t - 2) * (t + 2))) / 2))._mpi_
+            x = libmp.to_float(low, rnd=libmp.round_nearest)
+            with mpmath.workdps(2 * dps):
+                below = (mpmath.mpf(x) + math.nextafter(x, 0.0)) / 2
+                above = (mpmath.mpf(x) + math.nextafter(x, math.inf)) / 2
+                assert below < mpmath.mpf(low) and mpmath.mpf(high) < above, (
+                    word, "oracle undecided")
+            out.append(x)
+        return out
+    finally:
+        iv.prec = prec
 
 
 def _assert_batch_matches(s, words):
     got = s.curve_lengths(words)
     assert len(got) == len(words)
-    # the lengths are the exact lengths of the batch's traces
-    for g, t in zip(got, s.curve_traces(words)):
-        if isinstance(g, SurfaceError):
-            assert isinstance(t, SurfaceError) and str(t) == str(g)
-        else:
-            assert surface._trace_lengths([t]) == [g]
-    for w, g in zip(words, got):
-        want = _reference_length(s, w)
+    for g, want in zip(got, _oracle_lengths(s, words)):
         if isinstance(want, str):
             assert isinstance(g, SurfaceError) and str(g) == want
         else:
@@ -319,7 +351,8 @@ def test_curve_lengths_report_what_curve_length_raises(batch_surfaces):
         for w, g in zip(words, got):
             if isinstance(g, SurfaceError):
                 errors += 1
-                assert str(g) == _reference_length(s, w)
+                want, = _oracle_lengths(s, [w])
+                assert str(g) == want
                 with pytest.raises(SurfaceError) as raised:
                     s.curve_length(w)
                 assert str(raised.value) == str(g)
@@ -339,45 +372,104 @@ def test_conjugates_keep_the_length_of_their_class(batch_surfaces):
             assert s.curve_lengths([conj, word]) == [s.curve_length(word)] * 2
 
 
-def _within(n, e, radius, t):
-    """|n 2^e - t| <= radius 2^e, in exact integers, for an mpf t > 0."""
-    _, man, exp, _ = t._mpf_
-    low = min(e, exp)
-    gap = (n << (e - low)) - (int(man) << (exp - low))
-    return abs(gap) <= radius << (e - low)
+def _within(n, e, radius, exact):
+    """|n 2^e - m 2^f| <= radius 2^e for the exact trace (m, f, 0)."""
+    m, f, _ = exact
+    low = min(e, f)
+    return abs((n << (e - low)) - (m << (f - low))) <= radius << (e - low)
 
 
-def test_integer_traces_within_their_radius(monkeypatch):
-    # over L5 on pinched, thick and twisted surfaces each integer trace
-    # lies within its radius of the 80-digit fold and of a 160-digit fold
-    # of the same letters, and no word is left undecided; at 64 bits the
-    # truncations, not the 80-digit roundings, dominate the radius
-    rng = random.Random(24)
-    coords = [([0.7, 0.8, 0.9], None), ([1e-6, 5e-5, 1e-5], None),
-              ([0.7, 0.8, 0.9], [0.3, -1.1, 2.0]),
-              ([1e-3, 2e-4, 5e-4], [0.5, 0.1, -0.4]),
-              ([2.3e-6, 3.7e-6, 5e-6], [3.0, -2.0, 1.0]),
-              ([math.exp(x) for x in (-13.0, -12.5, -12.2)], [0.4, -0.3, 1.2])]
-    coords += [([math.exp(rng.uniform(-13.0, -12.0)) for _ in range(3)],
-                [rng.uniform(-5.0, 5.0) for _ in range(3)]) for _ in range(2)]
+_RADIUS_RNG = random.Random(24)
+# pinched, thick and twisted surfaces
+RADIUS_COORDS = [
+    ([0.7, 0.8, 0.9], None), ([1e-6, 5e-5, 1e-5], None),
+    ([0.7, 0.8, 0.9], [0.3, -1.1, 2.0]),
+    ([1e-3, 2e-4, 5e-4], [0.5, 0.1, -0.4]),
+    ([2.3e-6, 3.7e-6, 5e-6], [3.0, -2.0, 1.0]),
+    ([math.exp(x) for x in (-13.0, -12.5, -12.2)], [0.4, -0.3, 1.2])] + [
+    ([math.exp(_RADIUS_RNG.uniform(-13.0, -12.0)) for _ in range(3)],
+     [_RADIUS_RNG.uniform(-5.0, 5.0) for _ in range(3)]) for _ in range(2)]
+
+
+@pytest.fixture(scope="module")
+def radius_surfaces():
+    return [builtin_surface(lengths, twists)
+            for lengths, twists in RADIUS_COORDS]
+
+
+def test_integer_traces_within_their_radius(radius_surfaces):
+    # over L5 each trace lies within its radius of the exact trace, which a
+    # fold that never truncates gives, and no word is left undecided; at
+    # 64 bits the radius still holds
     words = [c.word for c in curves.enumerate_conj_classes(2, 5)]
-    for lengths, twists in coords:
-        s = builtin_surface(lengths, twists)
-        mp80 = s.curve_traces(words)
-        with monkeypatch.context() as m:
-            m.setattr(surface, "_DPS", 160)
-            mp160 = s.curve_traces(words)
+    for lengths, s in zip(RADIUS_COORDS, radius_surfaces):
+        exact = s._int_traces(words, 1 << 16)
+        assert all(r == 0 for _, _, r in exact)
         for bits in (272, 64):
-            with monkeypatch.context() as m:
-                m.setattr(surface, "_BITS", bits)
-                ints = s._int_traces(words)
-            for w, (n, e, radius), t80, t160 in zip(words, ints, mp80, mp160):
-                assert _within(n, e, radius, t80), (lengths, bits, w)
-                assert _within(n, e, radius, t160), (lengths, bits, w)
+            ints = s._int_traces(words, bits)
+            for w, (n, e, radius), t in zip(words, ints, exact):
+                assert _within(n, e, radius, t), (lengths, bits, w)
                 if bits == 272:
                     # the radius is far below the excess over 2
                     assert radius * 10 ** 30 < n - (2 << -e), (lengths, w)
         assert None not in s.length_estimates(words)
+
+
+def test_lengths_are_the_nearest_doubles(radius_surfaces):
+    words = [c.word for c in curves.enumerate_conj_classes(2, 5)]
+    for lengths, s in zip(RADIUS_COORDS, radius_surfaces):
+        assert s.curve_lengths(words) == _oracle_lengths(s, words), lengths
+    # powers of pants curves whose exact lengths lie just off a midpoint
+    # between two doubles: 4e-79 below 3 x 0.8 and 7.8e-53 from one
+    thick = radius_surfaces[0]
+    assert thick.curve_length("bbb") == 2.4
+    twisted = builtin_surface([2.3e-6, 3.7e-6, 5e-6], [1.0, 2.0, -3.0])
+    assert twisted.curve_length("bbbbb") == 1.85e-05
+    assert _oracle_lengths(twisted, ["bbbbb"]) == [1.85e-05]
+
+
+def test_undecided_words_refold_to_the_same_doubles(radius_surfaces,
+                                                    monkeypatch):
+    words = [c.word for c in curves.enumerate_conj_classes(2, 4)]
+    want = [s.curve_lengths(words) for s in radius_surfaces[:3]]
+    folds = []
+    fold = surface.MarkedSurface._int_traces
+
+    def counting(self, batch, bits):
+        folds.append((len(batch), bits))
+        return fold(self, batch, bits)
+
+    monkeypatch.setattr(surface.MarkedSurface, "_int_traces", counting)
+    monkeypatch.setattr(surface, "_BITS", 32)
+    for s, lengths in zip(radius_surfaces, want):
+        folds.clear()
+        assert s.curve_lengths(words) == lengths
+        # each level doubles the bits and refolds only the words the level
+        # below left undecided
+        sizes, levels = zip(*folds)
+        assert levels == tuple(32 << k for k in range(len(levels)))
+        assert list(sizes) == sorted(sizes, reverse=True)
+        assert sizes[-1] < len(words)
+    monkeypatch.undo()
+    # bbbbb on the twisted surface needs 544 bits
+    twisted = builtin_surface([2.3e-6, 3.7e-6, 5e-6], [1.0, 2.0, -3.0])
+    monkeypatch.setattr(surface, "_MAX_BITS", 272)
+    with pytest.raises(SurfaceError, match="bbbbb not decided within the "
+                                           "cap of 272 bits"):
+        twisted.curve_lengths(["a", "bbbbb"])
+
+
+def test_trivial_classes_get_one_answer_per_surface():
+    # the relator and two of its rotations; an exact trace is invariant
+    # under rotation, so all three are parabolic on every surface
+    rotations = [surface.GENUS2_RELATOR, "CbcaDBAd", "aDBAdCbc"]
+    for lengths, twists in (([0.7, 0.8, 0.9], None),
+                            ([1e-3, 2e-4, 5e-4], None),
+                            ([2.3e-6, 3.7e-6, 5e-6], [1.0, 2.0, -3.0]),
+                            ([0.6, 0.8, 1.1], [0.2, -0.3, 0.1])):
+        got = builtin_surface(lengths, twists).curve_lengths(rotations)
+        assert [str(g) for g in got] == [
+            "not a closed geodesic class: image is parabolic"] * 3, lengths
 
 
 def test_holonomy_accepts_signed_indices():

@@ -320,15 +320,33 @@ def test_length_estimates_within_screen_error():
                     for (e, _), length in zip(estimates, lengths))
         assert worst <= delta / 100, name
     # the float of a trace near 2 keeps almost no digit of a 1e-6 cuff
-    a, = pinched.curve_traces(["a"])
-    plain = 2.0 * math.acosh(float(a) / 2.0)
+    (n, e, _), = pinched._int_traces([(1,)], surface._BITS)
+    plain = 2.0 * math.acosh(math.ldexp(n, e) / 2.0)
     assert abs(plain / pinched.curve_length("a") - 1.0) > delta / 100
 
 
-def exact_traces_of(x_traces, y_traces):
-    """The `exact_traces` argument of `_sup_certificate` for given traces."""
-    return lambda indices: ([x_traces[i] for i in indices],
-                            [y_traces[i] for i in indices])
+class FixedLengths:
+    """A stand-in surface whose `curve_lengths` reads a table."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def curve_lengths(self, words):
+        return [self.table[w] for w in words]
+
+
+def trace(length):
+    """An 80-digit trace 2 cosh(length/2), as an mpf."""
+    with mpmath.workdps(80):
+        return 2 * mpmath.cosh(mpmath.mpf(length) / 2)
+
+
+def exact(t):
+    """The length `curve_lengths` gives an mpf |trace| t > 2."""
+    _, man, exp, _ = t._mpf_
+    length = surface._length(int(man), exp, 0, surface._BITS)
+    assert type(length) is float
+    return length
 
 
 def test_screen_margin_keeps_a_word_at_the_witness_band():
@@ -337,10 +355,6 @@ def test_screen_margin_keeps_a_word_at_the_witness_band():
     # drops it and the witness changes
     band = 1.0 - 1e-12
 
-    def trace(length):
-        with mpmath.workdps(80):
-            return 2 * mpmath.cosh(mpmath.mpf(length) / 2)
-
     def estimate(t):
         # the integer fold's estimate of a trace it holds to one unit
         _, man, exp, _ = t._mpf_
@@ -348,10 +362,6 @@ def test_screen_margin_keeps_a_word_at_the_witness_band():
 
     def est(t):
         return estimate(t)[0]
-
-    def exact(t):
-        length, = surface._trace_lengths([t])
-        return length
 
     found = None
     for lx in (0.9, 1.3, 2.0, 3.1):
@@ -371,7 +381,8 @@ def test_screen_margin_keeps_a_word_at_the_witness_band():
     tx, ty_a, ty_b = found
     cert = thurston._sup_certificate(
         [(1,), (2,)], [estimate(tx)] * 2, [estimate(ty_a), estimate(ty_b)],
-        exact_traces_of([tx, tx], [ty_a, ty_b]))
+        FixedLengths({(1,): exact(tx), (2,): exact(tx)}),
+        FixedLengths({(1,): exact(ty_a), (2,): exact(ty_b)}))
     assert cert.sup_ratio == exact(ty_b) / exact(tx)
     assert cert.witness == (1,)
 
@@ -379,20 +390,17 @@ def test_screen_margin_keeps_a_word_at_the_witness_band():
 def test_wide_trace_part_makes_a_candidate():
     # word 1's estimate reads below word 2's, but its trace part admits
     # the higher exact ratio it has, so it must reach the exact path
-    def trace(length):
-        with mpmath.workdps(80):
-            return 2 * mpmath.cosh(mpmath.mpf(length) / 2)
-
-    tx, ty = trace(1.0), [trace(1.01), trace(1.005)]
+    lx = exact(trace(1.0))
     cert = thurston._sup_certificate(
         [(1,), (2,)], [(1.0, 0.0)] * 2, [(1.0, 1e-3), (1.005, 0.0)],
-        exact_traces_of([tx, tx], ty))
+        FixedLengths({(1,): lx, (2,): lx}),
+        FixedLengths({(1,): exact(trace(1.01)), (2,): exact(trace(1.005))}))
     assert cert.witness == (1,)
 
 
 def test_undecided_estimates_take_the_exact_path(family, monkeypatch):
     # with 64 bits the fold's radius swallows the excess t - 2 of many
-    # pinched words; those go to curve_traces whole, and the certificate
+    # pinched words; those go to curve_lengths whole, and the certificate
     # stays that of exact lengths
     x, y, stretched, expected = noisy_pair(0)
     want = [oracle_certificate(a, b, family) for a, b in ((x, y), (y, x))]
@@ -400,18 +408,25 @@ def test_undecided_estimates_take_the_exact_path(family, monkeypatch):
     undecided = sum(e is None for e in x.length_estimates(family))
     assert undecided >= 20
     seen = []
-    batch = surface.MarkedSurface.curve_traces
+    batch = surface.MarkedSurface.curve_lengths
 
     def counting(self, words):
         seen.append(len(words))
         return batch(self, words)
 
-    monkeypatch.setattr(surface.MarkedSurface, "curve_traces", counting)
+    monkeypatch.setattr(surface.MarkedSurface, "curve_lengths", counting)
     for (a, b), w in zip(((x, y), (y, x)), want):
         cert = ratio_sup(a, b, family)
         assert (cert.sup_ratio, cert.witness, cert.family_size,
                 cert.skipped) == w
     assert min(seen) >= undecided
+
+
+def test_trace_within_1e_40_of_2_is_a_candidate():
+    # over its radius the trace may be parabolic, which only the exact
+    # lengths decide, so the screen leaves it undecided
+    assert surface._estimate((2 << 200) + 2, -200, 1) is None
+    assert surface._estimate((2 << 100) + 2, -100, 1) is not None
 
 
 def test_trace_beyond_float_range_is_a_candidate():
@@ -555,28 +570,29 @@ def test_linf_grid_k1(family):
 
 
 def test_linf_grid_lengths_once_per_surface(family, monkeypatch):
-    # one integer fold per grid point, 80-digit traces of the candidates
+    # one screen fold per grid point, exact lengths of the candidates
     # only, and the report of the per-pair ratio_sup calls it replaces
-    folds, exact = [], []
+    folds, candidates = [], []
     estimates = surface.MarkedSurface.length_estimates
-    traces = surface.MarkedSurface.curve_traces
+    lengths = surface.MarkedSurface.curve_lengths
 
     def counting_estimates(self, words):
         folds.append(len(words))
         return estimates(self, words)
 
-    def counting_traces(self, words):
-        exact.append(len(words))
-        return traces(self, words)
+    def counting_lengths(self, words):
+        candidates.append(len(words))
+        return lengths(self, words)
 
     monkeypatch.setattr(surface.MarkedSurface, "length_estimates",
                         counting_estimates)
-    monkeypatch.setattr(surface.MarkedSurface, "curve_traces",
-                        counting_traces)
+    monkeypatch.setattr(surface.MarkedSurface, "curve_lengths",
+                        counting_lengths)
     report = linf_grid_check(BASE, 0.6, 1, 4, family, DEC)
     assert folds == [len(family)] * 4
     # one candidate list per surface of each of the 12 ordered pairs
-    assert len(exact) == 24 and 1 <= min(exact) and max(exact) <= 10
+    assert len(candidates) == 24
+    assert 1 <= min(candidates) and max(candidates) <= 10
     monkeypatch.undo()
 
     def point(x):

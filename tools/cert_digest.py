@@ -18,8 +18,9 @@ of 8 base points (thick, pinched and twisted ones, and three drawn as the
 benchmark's `spectrum` workload draws them), then criterion 9 (twenty
 noisy pairs and the inadmissible slope) and criterion 10 (the 5-point
 grid), with the seeds and families of tests/test_acceptance.py.  About
-2 s on a 2-core x86-64 machine (5 s before the integer screen fold).  Only the standard library and the
-package under --src are imported.
+3 s on a 2-core x86-64 machine, with the single trace kernel as with the
+80-digit fold it replaced (5 s before the integer screen fold).  Only
+the standard library and the package under --src are imported.
 """
 
 import argparse

@@ -2,14 +2,16 @@
 
 The command set is every example in the README's CLI block plus
 `rotation` and `nonrot` for the classes c, cd, aB and aaac on a thick
-(0.7 0.8 0.9) and a pinched (1e-4 2e-5 5e-5) surface, and `cones
-designer` on a 2-factor and a 4-factor cone, whose printed length rows
-follow the hull's vertex order; repeated commands run once.  Each command
-runs in its own interpreter from a temporary directory that holds the
-`noisy.json`, `L.json` and `cone.json` the README examples read and the
-`cone2.json` and `cone4.json` of the designer commands.  For each one the
-transcript records the command, its stdout, the last line of its stderr
-and its exit code, so two trees can be compared with `diff`:
+(0.7 0.8 0.9) and a pinched (1e-4 2e-5 5e-5) surface, `cones designer` on
+a 2-factor and a 4-factor cone, whose printed length rows follow the
+hull's vertex order, and two `lengths` commands for powers of a pants
+curve whose exact lengths lie just off a midpoint between two doubles;
+repeated commands run once.  Each command runs in its own interpreter
+from a temporary directory that holds the `noisy.json`, `L.json` and
+`cone.json` the README examples read and the `cone2.json` and
+`cone4.json` of the designer commands.  For each one the transcript
+records the command, its stdout, the last line of its stderr and its
+exit code, so two trees can be compared with `diff`:
 
     python3 tools/cli_transcript.py --src /path/to/old/src -o old.txt
     python3 tools/cli_transcript.py -o new.txt
@@ -48,6 +50,13 @@ DESIGNER_COMMANDS = (
     ["cones", "designer", "--spec", "cone4.json", "--total-curves", "5",
      "--scale", "1e-3"],
 )
+# powers of a pants curve whose exact lengths lie just off a midpoint
+# between two doubles, so the printed bits show how lengths are rounded
+MIDPOINT_COMMANDS = (
+    ["lengths", "--lengths", "0.7", "0.8", "0.9", "--words", "bbb"],
+    ["lengths", "--lengths", "2.3e-6", "3.7e-6", "5e-6", "--twists", "1",
+     "2", "-3", "--words", "bbbbb"],
+)
 
 RUN_MAIN = "import sys; from teichlab.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -65,6 +74,7 @@ def command_set():
             for sub in ("rotation", "nonrot"):
                 commands.append([sub, "--lengths", *lengths, "--word", word])
     commands.extend(DESIGNER_COMMANDS)
+    commands.extend(MIDPOINT_COMMANDS)
     unique = []
     for argv in commands:
         if argv not in unique:
