@@ -144,14 +144,13 @@ def cmd_rotation(args, rep):
 
 def cmd_nonrot(args, rep):
     marked = _build(args.lengths, args.twists)
-    reference = surface_mod.reference_surface(marked.decomposition)
-    seq = combinat.intersection_sequence(reference, args.word, args.depth)
-    data = combinat.classify_and_rotate(seq)
-    proj, rest = combinat.non_rotating_length(marked, args.word, data)
+    i_p, rotation = combinat.reference_rotation(marked.decomposition,
+                                                args.word, args.depth)
+    proj, rest = combinat.non_rotating_length(marked, args.word, rotation)
     total = marked.curve_length(args.word)
     rep.say("word %s length %s rotational %s non_rotating %s"
             % (args.word, _fmt(total), _fmt(proj), _fmt(rest)))
-    bound = constants.B_NONROT * seq.intersection_number
+    bound = constants.B_NONROT * i_p
     rep.say("crossing_bound %s pass %d" % (_fmt(bound), rest >= bound))
     return PASS if rest >= bound else FAIL
 
@@ -160,11 +159,10 @@ def cmd_distortion(args, rep):
     x = _build(args.x_lengths)
     y = _build(args.y_lengths)
     classes = curves.enumerate_conj_classes(2, args.max_word_len)
-    reference = surface_mod.reference_surface(x.decomposition)
-    system = combinat.HexagonSystem(reference)
+    system = combinat.HexagonSystem(
+        surface_mod.reference_surface(x.decomposition))
     classes = [c for c in classes if not system.excludes(c.word)]
     rows = combinat.distortion_check(x, y, classes, args.C,
-                                     reference=reference,
                                      search_depth=args.depth)
     text = combinat.DISTORTION_CSV_HEADER + "\n" + "\n".join(
         combinat.distortion_csv_rows(rows)) + "\n"

@@ -867,8 +867,28 @@ def combinatorial_rotation(data):
 
 # --- non-rotating length and distortion ----------------------------------------
 
-def non_rotating_length(marked, gamma, data):
-    """Rotational projection and the twist-corrected length on one surface."""
+_REFERENCE_ROTATIONS = {}  # (decomposition, word, depth) -> (i_P, map)
+
+
+def reference_rotation(decomposition, gamma, search_depth):
+    """i_P and a copy of the rotation map of a class, from one deterministic
+    search per decomposition object, reduced word and depth on the thick
+    reference; a search that raises is not kept, so the next call repeats it.
+    """
+    word = _normalize_word(gamma)
+    key = (decomposition, word, search_depth)
+    if key not in _REFERENCE_ROTATIONS:
+        data = classify_and_rotate(intersection_sequence(
+            surface.reference_surface(decomposition), word, search_depth))
+        _REFERENCE_ROTATIONS[key] = (data.intersection_number,
+                                     combinatorial_rotation(data))
+    i_p, rotation = _REFERENCE_ROTATIONS[key]
+    return i_p, dict(rotation)
+
+
+def non_rotating_length(marked, gamma, rotation):
+    """Rotational projection and twist-corrected length on one surface, from
+    a rotation map (pants curve k -> r_k) such as `reference_rotation`'s."""
     word = _normalize_word(gamma)
     # only the words are needed here: the disjointness validation of the
     # full hexagon system cannot run on extremely pinched holonomies
@@ -878,7 +898,6 @@ def non_rotating_length(marked, gamma, data):
                    for w in pants_words}
     if curves.canonical_cyclic_form(root).word in pants_forms:
         raise CombinatError("excluded class: pants curve")
-    rotation = combinatorial_rotation(data)
     projection = sum(
         rotation[k] * marked.curve_length(pants_words[k - 1])
         for k in (1, 2, 3))
@@ -890,23 +909,22 @@ DISTORTION_CSV_HEADER = ("word,i_P,r1,r2,r3,len_X,proj_X,nonrot_X,"
                          "len_Y,proj_Y,nonrot_Y,ratio,bound_lo,bound_hi,pass")
 
 
-def distortion_check(x_surface, y_surface, classes, C, reference=None,
+def distortion_check(x_surface, y_surface, classes, C,
                      search_depth=constants.LIFT_SEARCH_DEPTH_DEFAULT):
     """Length-distortion bounds from log-length ratios of the pants curves.
 
-    Rotation data is computed once per class on a thick untwisted reference
-    surface with the same decomposition: rotation numbers do not depend on
-    the choice of untwisted surface, and the sequence geometry is much
-    better conditioned away from the pinched regime.
+    Rotation maps come from `reference_rotation` on X's decomposition:
+    rotation numbers do not depend on the choice of untwisted surface, and
+    the thick reference is much better conditioned than the pinched regime.
     """
     for s in (x_surface, y_surface):
         if not s.coords.untwisted:
             raise CombinatError("surfaces must be untwisted")
         if max(s.coords.lengths) > constants.EPS_UNTWISTED_DEFAULT:
             raise CombinatError("surfaces must be pinched below eps")
-    if reference is None:
-        reference = surface.reference_surface(x_surface.decomposition)
-    pants_words = HexagonSystem(reference).pants_words
+    decomposition = x_surface.decomposition
+    pants_words = HexagonSystem(
+        surface.reference_surface(decomposition)).pants_words
     lx = [x_surface.curve_length(w) for w in pants_words]
     ly = [y_surface.curve_length(w) for w in pants_words]
     log_ratios = [math.log(a) / math.log(b) for a, b in zip(lx, ly)]
@@ -919,14 +937,10 @@ def distortion_check(x_surface, y_surface, classes, C, reference=None,
     bound_lo = lo_val / C
     bound_hi = hi_val * C
 
-    def rotation_of(cls):
-        word = _normalize_word(cls)
-        seq = intersection_sequence(reference, word, search_depth)
-        data = classify_and_rotate(seq)
-        return word, data, combinatorial_rotation(data)
-
     rows = []
-    for word, data, rotation in [rotation_of(cls) for cls in classes]:
+    for cls in classes:
+        word = _normalize_word(cls)
+        i_p, rotation = reference_rotation(decomposition, word, search_depth)
         proj_x = sum(rotation[k] * lx[k - 1] for k in (1, 2, 3))
         proj_y = sum(rotation[k] * ly[k - 1] for k in (1, 2, 3))
         len_x = x_surface.curve_length(word)
@@ -936,7 +950,7 @@ def distortion_check(x_surface, y_surface, classes, C, reference=None,
         ratio = nonrot_x / nonrot_y
         rows.append({
             "word": curves.word_to_text(word),
-            "i_P": data.intersection_number,
+            "i_P": i_p,
             "rotation": rotation,
             "len_X": len_x, "proj_X": proj_x, "nonrot_X": nonrot_x,
             "len_Y": len_y, "proj_Y": proj_y, "nonrot_Y": nonrot_y,

@@ -327,20 +327,20 @@ def decompose_projection(surfaces, gamma,
                          search_depth=constants.LIFT_SEARCH_DEPTH_DEFAULT):
     """Split the Jordan projection into rotational and remainder parts.
 
-    The rotation data is combinatorial and shared by every untwisted
-    surface, so it is computed once on a thick reference copy of the
-    common decomposition.
+    The surfaces must be untwisted and share one decomposition object:
+    their common rotation map is `combinat.reference_rotation`'s, read from
+    the thick reference surface of that decomposition.
     """
-    reference = surface_mod.reference_surface(surfaces[0].decomposition)
-    seq = combinat.intersection_sequence(reference, gamma, search_depth)
-    rotation_data = combinat.classify_and_rotate(seq)
-    r_vec = []
-    l_vec = []
-    for s in surfaces:
-        proj, rest = combinat.non_rotating_length(s, gamma, rotation_data)
-        r_vec.append(proj)
-        l_vec.append(rest)
-    return tuple(r_vec), tuple(l_vec)
+    decomposition = surfaces[0].decomposition
+    if not all(s.coords.untwisted for s in surfaces):
+        raise combinat.CombinatError("surfaces must be untwisted")
+    if any(s.decomposition is not decomposition for s in surfaces):
+        raise combinat.CombinatError("surfaces must share a decomposition")
+    _, rotation = combinat.reference_rotation(decomposition, gamma,
+                                              search_depth)
+    r_vec, l_vec = zip(*[combinat.non_rotating_length(s, gamma, rotation)
+                         for s in surfaces])
+    return r_vec, l_vec
 
 
 # --- serialization --------------------------------------------------------------

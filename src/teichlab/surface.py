@@ -36,6 +36,7 @@ screen reads float estimates of the same fold (`length_estimates`).
 need.
 """
 
+import functools
 import math
 
 import mpmath
@@ -585,11 +586,13 @@ def build_holonomy(decomposition, coords):
     return surf
 
 
+@functools.cache
 def reference_surface(decomposition):
     """Thick untwisted surface of a decomposition, for rotation data.
 
     Rotation numbers do not depend on the choice of untwisted surface, and
     the lift search is much better conditioned away from the pinched regime.
+    One immutable surface is built per decomposition object and shared.
     """
     return build_holonomy(decomposition, FNCoordinates([0.7, 0.8, 0.9]))
 

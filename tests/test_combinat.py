@@ -5,13 +5,15 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teichlab import combinat, hyp2, surface
+from teichlab import combinat, cones, curves, hyp2, surface
 from teichlab.combinat import (
     CombinatError, HexagonSystem, classify_and_rotate, combinatorial_rotation,
     distortion_check, distortion_csv_rows, intersection_sequence,
     non_rotating_length,
 )
-from teichlab.constants import ROTATION_COMPARABILITY_SLACK
+from teichlab.constants import (
+    LIFT_SEARCH_DEPTH_DEFAULT, ROTATION_COMPARABILITY_SLACK,
+)
 from teichlab.surface import FNCoordinates, build_holonomy
 
 
@@ -580,7 +582,7 @@ def test_non_rotating_length_identity(reference, thick):
     seq = intersection_sequence(reference, "aB", search_depth=8)
     data = classify_and_rotate(seq)
     rot = combinatorial_rotation(data)
-    proj, length = non_rotating_length(thick, "aB", data)
+    proj, length = non_rotating_length(thick, "aB", rot)
     expect = sum(rot[k] * thick.curve_length(thick.curve_words[k - 1])
                  for k in (1, 2, 3))
     assert proj == pytest.approx(expect, rel=1e-12)
@@ -589,17 +591,17 @@ def test_non_rotating_length_identity(reference, thick):
 
 def test_non_rotating_length_excludes_pants(reference):
     seq = intersection_sequence(reference, "c", search_depth=8)
-    data = classify_and_rotate(seq)
+    rot = combinatorial_rotation(classify_and_rotate(seq))
     with pytest.raises(CombinatError, match="excluded"):
-        non_rotating_length(reference, "a", data)
+        non_rotating_length(reference, "a", rot)
 
 
 @pytest.mark.parametrize("gamma", ["c", "cd", "cD", "abc", "aaac"])
 def test_non_rotating_length_lower_bound_pinched(reference, gamma):
     pinched = make_surface([1e-4, 1e-4, 1e-4])
     seq = intersection_sequence(reference, gamma, search_depth=10)
-    data = classify_and_rotate(seq)
-    proj, length = non_rotating_length(pinched, gamma, data)
+    rot = combinatorial_rotation(classify_and_rotate(seq))
+    proj, length = non_rotating_length(pinched, gamma, rot)
     assert length > 0.0
     assert length >= 5.0 * seq.intersection_number
 
@@ -611,7 +613,7 @@ def test_deep_spiral_projection_exact(reference):
     data = classify_and_rotate(seq)
     rot = combinatorial_rotation(data)
     assert rot[1] == k - 1
-    proj, length = non_rotating_length(pinched, "a" * k + "c", data)
+    proj, length = non_rotating_length(pinched, "a" * k + "c", rot)
     l1 = pinched.curve_length("a")
     assert proj == pytest.approx((k - 1) * l1, rel=1e-9)
     assert length > 0.0
@@ -661,6 +663,85 @@ def test_distortion_csv_schema():
     assert fields[0] == "c"
     assert fields[-1] == "1"
     assert float(fields[header_fields.index("ratio")]) == pytest.approx(1.0)
+
+
+# --- reference rotation maps -------------------------------------------------
+
+
+def counted_reference_searches(monkeypatch, dec):
+    """Patch `_collect_lifts` to count its runs on `dec`'s reference."""
+    calls = []
+    search = combinat._collect_lifts
+
+    def counting(frame, depth):
+        if frame.marked is surface.reference_surface(dec):
+            calls.append(curves.word_to_text(frame.word))
+        return search(frame, depth)
+
+    monkeypatch.setattr(combinat, "_collect_lifts", counting)
+    return calls
+
+
+def test_reference_surface_is_one_per_decomposition():
+    dec = surface.builtin_genus2_convenient()
+    assert surface.reference_surface(dec) is surface.reference_surface(dec)
+    other = surface.builtin_genus2_convenient()
+    assert surface.reference_surface(other) is not surface.reference_surface(
+        dec)
+
+
+def run_census_and_split(dec, census_first):
+    """Criterion 8's census and the projection split of cd on `dec`."""
+    x = build_holonomy(dec, FNCoordinates([1e-6, 5e-5, 1e-5]))
+    y = build_holonomy(dec, FNCoordinates([1e-4, 1e-6, 2e-5]))
+    pinched = [build_holonomy(dec, FNCoordinates(lengths))
+               for lengths in ([0.02, 0.03, 0.025], [0.035, 0.015, 0.04])]
+    if census_first:
+        rows = distortion_check(x, y, ["cd"], C=2.0)
+        split = cones.decompose_projection(pinched, "cd")
+    else:
+        split = cones.decompose_projection(pinched, "cd")
+        rows = distortion_check(x, y, ["cd"], C=2.0)
+    return rows, split
+
+
+def test_census_and_split_share_one_reference_search(monkeypatch):
+    dec = surface.builtin_genus2_convenient()
+    calls = counted_reference_searches(monkeypatch, dec)
+    rows, (r_vec, l_vec) = run_census_and_split(dec, census_first=True)
+    assert calls == ["cd"]
+    # the beam is deterministic: the other order, on a decomposition of
+    # its own, gives the same rows and projections bit for bit
+    other = surface.builtin_genus2_convenient()
+    other_calls = counted_reference_searches(monkeypatch, other)
+    rows2, (r2, l2) = run_census_and_split(other, census_first=False)
+    assert other_calls == ["cd"]
+    assert repr(rows) == repr(rows2)
+    assert [x.hex() for x in r_vec + l_vec] == [x.hex() for x in r2 + l2]
+
+
+def test_failed_reference_search_is_searched_again(monkeypatch):
+    dec = surface.builtin_genus2_convenient()
+    calls = counted_reference_searches(monkeypatch, dec)
+    for _ in range(2):
+        with pytest.raises(CombinatError,
+                           match="lift search unstable: increase search_depth"):
+            combinat.reference_rotation(dec, "aCbc",
+                                        LIFT_SEARCH_DEPTH_DEFAULT)
+    assert calls == ["aCbc", "aCbc"]
+
+
+def test_census_rows_own_their_rotation_map():
+    X = make_surface([1e-5, 2e-5, 5e-6])
+    first = distortion_check(X, X, ["c", "aB"], C=1.5, search_depth=8)
+    maps = [dict(r["rotation"]) for r in first]
+    for r in first:
+        r["rotation"][1] += 7.0
+    again = distortion_check(X, X, ["c", "aB"], C=1.5, search_depth=8)
+    for r, want in zip(again, maps):
+        assert type(r["rotation"]) is dict
+        assert list(r["rotation"]) == [1, 2, 3]
+        assert r["rotation"] == want
 
 
 # --- internals ------------------------------------------------------------------

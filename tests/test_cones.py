@@ -586,6 +586,19 @@ def test_decompose_rejects_pants_curve(pinched_pair):
         cones.decompose_projection(pinched_pair, "a")
 
 
+def test_decompose_rejects_what_the_reference_map_does_not_cover(dec):
+    from teichlab import combinat
+    twisted = [surface.build_holonomy(dec, surface.FNCoordinates(
+        [1e-3 * k, 2e-3 * k, 3e-3 * k], [0.5, -0.3, 0.2])) for k in (1, 2)]
+    with pytest.raises(combinat.CombinatError, match="untwisted"):
+        cones.decompose_projection(twisted, "cd")
+    lengths = surface.FNCoordinates([1e-3, 2e-3, 3e-3])
+    mixed = [surface.build_holonomy(dec, lengths), surface.build_holonomy(
+        surface.builtin_genus2_convenient(), lengths)]
+    with pytest.raises(combinat.CombinatError, match="decomposition"):
+        cones.decompose_projection(mixed, "cd")
+
+
 # --- serialization ------------------------------------------------------------
 
 
