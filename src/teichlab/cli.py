@@ -293,12 +293,13 @@ def cmd_cones_verify(args, rep):
         for j in range(n)]
     family = curves.enumerate_conj_classes(2, args.max_word_len)
     report = cones.verify_limit_cone(surfaces, family, args.slack)
+    rows = cones.ray_rows(surfaces, family, report["cone"], args.slack)
     rep.file("cone.json", cones.cone_to_json(report["cone"]) + "\n")
     rep.file("ray_cloud.csv", cones.ray_csv_header(n) + "\n"
-             + "\n".join(cones.ray_csv_rows(report)) + "\n")
+             + "\n".join(cones.ray_csv_rows(rows)) + "\n")
     rep.say("classes %d containment_rate %s worst %s (%s) "
             "vertices_attained %d"
-            % (len(report["rows"]), _fmt(report["containment_rate"]),
+            % (len(rows), _fmt(report["containment_rate"]),
                _fmt(report["worst_excess"]), report["worst_word"],
                report["vertex_attained"]))
     ok = report["containment_rate"] == 1.0 and report["vertex_attained"]

@@ -888,7 +888,12 @@ def reference_rotation(decomposition, gamma, search_depth):
 
 def non_rotating_length(marked, gamma, rotation):
     """Rotational projection and twist-corrected length on one surface, from
-    a rotation map (pants curve k -> r_k) such as `reference_rotation`'s."""
+    a rotation map (pants curve k -> r_k) such as `reference_rotation`'s.
+
+    The surface must be untwisted: rotation maps are read on untwisted
+    surfaces, and nothing shows that they split a twisted length."""
+    if not marked.coords.untwisted:
+        raise CombinatError("surfaces must be untwisted")
     word = _normalize_word(gamma)
     # only the words are needed here: the disjointness validation of the
     # full hexagon system cannot run on extremely pinched holonomies

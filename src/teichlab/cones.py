@@ -8,11 +8,18 @@ that cone, test ray membership with an angular slack, and construct
 designer length data realizing a prescribed cone.  Zariski density of the
 product representation, which that accumulation needs, is assumed, not
 proven.
+
+The membership verdict reads one batch of length estimates per factor
+(`MarkedSurface.length_estimates`).  A class whose estimated direction
+lies well inside every facet has angular excess exactly 0, and only the
+others, the few near a facet, get exact lengths (`verify_limit_cone`);
+`ray_rows` gives every class's exact row.
 """
 
 import itertools
 import json
 import math
+import operator
 import sys
 
 from . import combinat, constants, curves
@@ -112,15 +119,20 @@ def jordan_projection(surfaces, gamma):
 def _jordan_vectors(surfaces, classes):
     """Jordan projections of the classes, yielded in order.
 
-    The lengths come from one batched pass per factor; the vectors are
-    made one at a time, so callers hold only what they keep.  A class that
-    is not hyperbolic in some factor raises ConesError when it is reached,
-    naming its first such factor.
+    The lengths come from one batched pass per factor, which folds each
+    distinct cyclically reduced word once (`curve_lengths` reduces first,
+    so equal reduced words have equal lengths); the vectors are made one
+    at a time, so callers hold only what they keep.  A class that is not
+    hyperbolic in some factor raises ConesError when it is reached, naming
+    its first such factor.
     """
     words = [curves._as_word(cls) for cls in classes]
-    columns = [s.curve_lengths(words) for s in surfaces]
-    for i, word in enumerate(words):
-        comps = [col[i] for col in columns]
+    reduced = [curves._reduced_word(cls) for cls in classes]
+    distinct = list(dict.fromkeys(reduced))
+    columns = [dict(zip(distinct, s.curve_lengths(distinct)))
+               for s in surfaces]
+    for word, key in zip(words, reduced):
+        comps = [col[key] for col in columns]
         for j, length in enumerate(comps, start=1):
             if isinstance(length, surface_mod.SurfaceError):
                 raise ConesError("factor %d: %s" % (j, length))
@@ -253,8 +265,50 @@ def hl_membership(b, L, C):
     return True
 
 
+# the screen of `verify_limit_cone`: a bound on the summed relative error
+# of a class's length estimates, and the least facet margin of its
+# estimated direction
+_SCREEN_REL_ERR = 1e-13
+_FACET_GAP = 1e-12
+
+
 def verify_limit_cone(surfaces, family, tol_angular=1e-2):
-    """Ray-cloud containment in the cone over the pants-curve projections."""
+    """Ray-cloud containment in the cone over the pants-curve projections.
+
+    A class is inside when its angular excess over the cone is at most
+    tol_angular.  The report gives the share inside, the largest excess
+    and the first class in family order that has it, and for each vertex
+    of the cone the pants curve whose direction attains it, or None.
+
+    Each factor estimates the family's lengths once.  A class is screened
+    when each factor's estimate is decided, their `rel` bounds sum to at
+    most delta = `_SCREEN_REL_ERR` and the estimated direction lies more
+    than eta = `_FACET_GAP` inside every facet: f.l~ > eta |l~| for each
+    unit facet normal f and the estimated lengths l~.  Its excess is 0.0.
+    The other classes, the candidates, get exact Jordan vectors in family
+    order (`_jordan_vectors`), so the first class that is not hyperbolic
+    in some factor raises as it would without the screen.
+
+    Why this changes nothing: let l be a screened class's exact lengths,
+    the doubles `curve_lengths` returns, and l~ its estimates.  In each
+    factor l~ is within rel of the length of the exact trace, and the
+    float parts (the estimate's acosh or asinh and the half ulp by which
+    l is rounded) are below 1e-15, so |l~/l - 1| <= delta + 1e-15 in
+    every factor.  Positive vectors that close have unit vectors u~ and
+    u within 2 (delta + 1e-15) of each other, and a facet normal has
+    norm 1 to within an ulp, so f.u >= f.u~ - 2.1e-13.  The screen's
+    products, norm and bar, and the dot products of unit vectors in R^n
+    that `PolyCone.angular_excess` forms, are computed to within about n
+    ulps of |l~| or of 1, far below eta - 2.1e-13 = 7.9e-13.  So the
+    screen makes the computed f.u positive for every facet, and
+    `angular_excess` returns its starting 0.0, which is inside iff
+    0.0 <= tol_angular.  A screened class's traces exceed 2 by more than
+    1e-40 in every factor (`surface._estimate`), so it is hyperbolic and
+    never the class that raises; it is never refolded either, so
+    `curve_lengths`' cap cannot raise for it.  Every class thus gets the
+    excess and the verdict its exact row would give (`ray_rows`), and so
+    do the counts, the largest excess and its first class.
+    """
     if not surfaces:
         raise ConesError("need at least one surface")
     spec = ConeSpecL([[s.coords.lengths[i] for s in surfaces]
@@ -263,9 +317,23 @@ def verify_limit_cone(surfaces, family, tol_angular=1e-2):
     if not cone.interior_ones:
         raise ConesError("diagonal direction not interior to the cone")
 
+    reduced = [curves._reduced_word(cls) for cls in family]
+    estimates = [s.length_estimates(reduced) for s in surfaces]
+    candidates = []
+    for i, ests in enumerate(zip(*estimates)):
+        if None not in ests:
+            lengths, rels = zip(*ests)
+            bar = _FACET_GAP * math.hypot(*lengths)
+            if sum(rels) <= _SCREEN_REL_ERR and all(
+                    sum(map(operator.mul, f, lengths)) > bar
+                    for f in cone.facet_normals):
+                continue
+        candidates.append(i)
+    # one exact batch: the pants curves, then the candidates
     pants_words = surfaces[0].curve_words
-    pants_dirs = [lam.direction()
-                  for lam in _jordan_vectors(surfaces, pants_words)]
+    exact = _jordan_vectors(surfaces, list(pants_words)
+                            + [family[i] for i in candidates])
+    pants_dirs = [next(exact).direction() for _ in pants_words]
     vertex_hits = []
     for v in cone.vertex_directions:
         hit = None
@@ -275,29 +343,41 @@ def verify_limit_cone(surfaces, family, tol_angular=1e-2):
                 break
         vertex_hits.append(hit)
 
-    def evaluate(lam):
+    excesses = [0.0] * len(reduced)
+    for i, lam in zip(candidates, exact):
+        excesses[i] = cone.angular_excess(lam.components)
+    inside = sum(1 for e in excesses if e <= tol_angular)
+    # max keeps the first index of the largest excess: family order
+    worst = max(range(len(excesses)), key=excesses.__getitem__, default=None)
+    if worst is not None:
+        worst_word = curves.word_to_text(curves._as_word(family[worst]))
+    return {
+        "cone": cone,
+        "containment_rate": inside / len(excesses) if excesses else 1.0,
+        "worst_word": None if worst is None else worst_word,
+        "worst_excess": 0.0 if worst is None else excesses[worst],
+        "vertex_attained": all(h is not None for h in vertex_hits),
+        "vertex_witnesses": vertex_hits,
+        "tol_angular": tol_angular,
+    }
+
+
+def ray_rows(surfaces, family, cone, tol_angular):
+    """Every class's exact row against a cone: its word, Jordan vector and
+    direction, its angular excess and whether that is at most tol_angular.
+
+    `verify_limit_cone`'s verdict equals the one these rows give."""
+    rows = []
+    for lam in _jordan_vectors(surfaces, family):
         excess = cone.angular_excess(lam.components)
-        return {
+        rows.append({
             "word": curves.word_to_text(lam.word),
             "lambda": lam.components,
             "direction": lam.direction(),
             "in_cone": excess <= tol_angular,
             "angular_excess": excess,
-        }
-
-    rows = [evaluate(lam) for lam in _jordan_vectors(surfaces, family)]
-    inside = sum(1 for r in rows if r["in_cone"])
-    worst = max(rows, key=lambda r: r["angular_excess"]) if rows else None
-    return {
-        "cone": cone,
-        "rows": rows,
-        "containment_rate": inside / len(rows) if rows else 1.0,
-        "worst_word": worst["word"] if worst else None,
-        "worst_excess": worst["angular_excess"] if worst else 0.0,
-        "vertex_attained": all(h is not None for h in vertex_hits),
-        "vertex_witnesses": vertex_hits,
-        "tol_angular": tol_angular,
-    }
+        })
+    return rows
 
 
 def designer_lengths(cone, total_curves, scale):
@@ -354,9 +434,9 @@ def ray_csv_header(n):
     return ",".join(cols)
 
 
-def ray_csv_rows(report):
+def ray_csv_rows(rows):
     out = []
-    for r in report["rows"]:
+    for r in rows:
         vals = [r["word"]]
         vals += ["%.17g" % v for v in r["lambda"]]
         vals += ["%.17g" % v for v in r["direction"]]

@@ -59,6 +59,14 @@ def _as_word(cls):
     return tuple(cls)
 
 
+def _reduced_word(cls):
+    """Cyclically reduced letters of a class (see `_as_word`); a ConjClass
+    word is reduced by construction, so it is returned as it is."""
+    if isinstance(cls, ConjClass):
+        return cls.word
+    return cyclic_reduce(_as_word(cls))
+
+
 class ConjClass:
     """Cyclically reduced word up to rotation and inversion."""
 

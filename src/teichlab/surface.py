@@ -31,9 +31,12 @@ at twice the bits (A. Ziv, ACM TOMS 17(3), 1991) up to a stated cap.
 The exact length is never a midpoint, and the enclosure shrinks with the
 bits, so the refolds end.  The CLI, the cone checks, the distortion
 bounds and the ratio certificates read these lengths; the certificates'
-screen reads float estimates of the same fold (`length_estimates`).
-`build_holonomy` stays on mpmath, whose exp, cos and sin its matrices
-need.
+and the cone check's screens read float estimates of the same fold
+(`length_estimates`).  `build_holonomy` takes exp, cos and sin from
+mpmath, and its 2x2 products and inverses (`_mul`, `_inv`, which the lift
+search's 80-digit steps use too) call `mpmath.libmp` on the entries' raw
+tuples with the context's precision and rounding: the same numbers as
+the mpf operators, without their dispatch.
 """
 
 import functools
@@ -61,10 +64,16 @@ class PantsDecomposition:
     (mod 3).
     """
 
+    __slots__ = ("pants", "curve_edges")
+
     def __init__(self, pants_ids, curve_edges):
-        self.pants = list(pants_ids)
-        self.curve_edges = [tuple(e) for e in curve_edges]
+        object.__setattr__(self, "pants", tuple(pants_ids))
+        object.__setattr__(self, "curve_edges",
+                           tuple(tuple(e) for e in curve_edges))
         self._validate()
+
+    def __setattr__(self, *a):
+        raise AttributeError("PantsDecomposition is immutable")
 
     def _validate(self):
         used = set()
@@ -98,8 +107,14 @@ class PantsDecomposition:
         raise SurfaceError("unglued slot (%r, %r)" % (node, slot))
 
 
+@functools.cache
 def builtin_genus2_convenient():
-    """Two pants glued along three curves, slot k to slot k."""
+    """Two pants glued along three curves, slot k to slot k.
+
+    One shared object, so the memos keyed by the decomposition object
+    (`reference_surface`, `combinat.reference_rotation`) serve every
+    caller; a decomposition built directly has memos of its own.
+    """
     return PantsDecomposition([0, 1], [(0, 1, 1, 1), (0, 2, 1, 2), (0, 3, 1, 3)])
 
 
@@ -123,14 +138,35 @@ class FNCoordinates:
 
 # --- extended-precision 2x2 helpers -------------------------------------------
 
+# The kernel calls libmp on the entries' _mpf_ tuples with the context's
+# (prec, rounding), as the mpf operators do, so each entry is the one the
+# operator expression in its comment gives, without the operator layer.
+
 def _mul(m, n):
-    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
-            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+    # (m0 n0 + m1 n2, m0 n1 + m1 n3, m2 n0 + m3 n2, m2 n1 + m3 n3)
+    prec, rnd = mpmath.mp._prec_rounding
+    mul, add, make = libmp.mpf_mul, libmp.mpf_add, mpmath.mp.make_mpf
+    a0, a1, a2, a3 = [x._mpf_ for x in m]
+    b0, b1, b2, b3 = [x._mpf_ for x in n]
+    return (
+        make(add(mul(a0, b0, prec, rnd), mul(a1, b2, prec, rnd), prec, rnd)),
+        make(add(mul(a0, b1, prec, rnd), mul(a1, b3, prec, rnd), prec, rnd)),
+        make(add(mul(a2, b0, prec, rnd), mul(a3, b2, prec, rnd), prec, rnd)),
+        make(add(mul(a2, b1, prec, rnd), mul(a3, b3, prec, rnd), prec, rnd)))
 
 
 def _inv(m):
-    det = m[0] * m[3] - m[1] * m[2]
-    return (m[3] / det, -m[1] / det, -m[2] / det, m[0] / det)
+    # det = m0 m3 - m1 m2; (m3 / det, -m1 / det, -m2 / det, m0 / det)
+    prec, rnd = mpmath.mp._prec_rounding
+    mul, div, neg = libmp.mpf_mul, libmp.mpf_div, libmp.mpf_neg
+    make = mpmath.mp.make_mpf
+    a0, a1, a2, a3 = [x._mpf_ for x in m]
+    det = libmp.mpf_sub(mul(a0, a3, prec, rnd), mul(a1, a2, prec, rnd),
+                        prec, rnd)
+    return (make(div(a3, det, prec, rnd)),
+            make(div(neg(a1, prec, rnd), det, prec, rnd)),
+            make(div(neg(a2, prec, rnd), det, prec, rnd)),
+            make(div(a0, det, prec, rnd)))
 
 
 def _trans(length):
@@ -141,6 +177,13 @@ def _trans(length):
 def _rot(theta):
     c, s = mpmath.cos(theta / 2), mpmath.sin(theta / 2)
     return (c, s, -s, c)
+
+
+@functools.cache
+def _turns(prec):
+    """Rotations by pi/2 and by pi, the only angles the frames turn by;
+    built once per working precision (`prec` bits), on first use."""
+    return _rot(mpmath.pi / 2), _rot(mpmath.pi)
 
 
 _MP_ID = (mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1))
@@ -207,7 +250,7 @@ class PantsGeometry:
                 seam.append(ck + cl)
             # sides: alpha1, zeta3', alpha2, zeta1', alpha3, zeta2'
             side_lengths = [a[0], seam[2], a[1], seam[0], a[2], seam[1]]
-            quarter = _rot(mpmath.pi / 2)
+            quarter, half_turn = _turns(mpmath.mp.prec)
             frames = []
             g = _MP_ID
             for L in side_lengths:
@@ -218,7 +261,6 @@ class PantsGeometry:
             if _identity_residual_mp(g) > 1e-30 * max(
                     1.0, max(float(abs(v)) for f in frames for v in f)) ** 2:
                 raise SurfaceError("hexagon development failed to close")
-            half_turn = _rot(mpmath.pi)
             self._side_frames = frames
             self._axis_frames = {}
             self._X = {}
@@ -260,7 +302,7 @@ def _glue_map(geom_near, k_near, geom_far, k_far, twist):
     Maps the far boundary axis onto the near one with reversed orientation
     and the far marked foot to the near marked foot shifted by the twist.
     """
-    half_turn = _rot(mpmath.pi)
+    _, half_turn = _turns(mpmath.mp.prec)
     return _mul(_mul(geom_near.axis_frame(k_near, extra=twist), half_turn),
                 _inv(geom_far.axis_frame(k_far)))
 
@@ -319,7 +361,7 @@ class MarkedSurface:
         product of the 80-digit letters (`_length`), or the SurfaceError
         that `curve_length` raises for a word whose image is not
         hyperbolic.  Each word is cyclically reduced first
-        (`curves.cyclic_reduce`), which keeps its conjugacy class: folding
+        (`curves._reduced_word`), which keeps its conjugacy class: folding
         a conjugate such as cdCD a (cdCD)^-1 as given passes through
         entries large enough that the trace's excess over 2 drowns in the
         fold's radius on pinched surfaces.  A word that reduces to nothing
@@ -327,7 +369,7 @@ class MarkedSurface:
         `_BITS` bits leaves undecided are folded again at twice the bits;
         one still undecided past `_MAX_BITS` raises a SurfaceError.
         """
-        words = [curves.cyclic_reduce(curves._as_word(w)) for w in words]
+        words = [curves._reduced_word(w) for w in words]
         out = [None] * len(words)
         todo, bits = range(len(words)), _BITS
         while todo:

@@ -302,7 +302,7 @@ def _certificates(surfaces, family, pairs):
     `curve_lengths`.
     """
     words = [curves._as_word(cls) for cls in family]
-    reduced = [curves.cyclic_reduce(w) for w in words]
+    reduced = [curves._reduced_word(cls) for cls in family]
     estimates = [s.length_estimates(reduced) for s in surfaces]
     return [_sup_certificate(words, estimates[x], estimates[y], surfaces[x],
                              surfaces[y]) for x, y in pairs]

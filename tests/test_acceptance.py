@@ -323,8 +323,8 @@ def test_criterion_12_designer_cone_roundtrip(dec):
         for j in range(3)]
     family = curves.enumerate_conj_classes(2, 4)
     report = cones.verify_limit_cone(surfaces, family, tol_angular=1e-2)
-    cloud = cones.cone_over_hull([r["direction"]
-                                  for r in report["rows"]])
+    cloud = cones.cone_over_hull([r["direction"] for r in cones.ray_rows(
+        surfaces, family, report["cone"], 1e-2)])
     inside = all(cone.angular_excess(v) <= 1e-2
                  for v in cloud.vertex_directions)
     attained = all(

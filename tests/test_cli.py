@@ -78,6 +78,15 @@ def test_nonrot_command(capsys):
     assert "pass 1" in out
 
 
+def test_nonrot_refuses_twisted_surfaces(capsys):
+    code, out, err = run(["nonrot", "--lengths", "1e-3", "2e-3", "3e-3",
+                          "--twists", "0.5", "-0.3", "0.2", "--word", "cd"],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: surfaces must be untwisted\n"
+
+
 def test_cusp_command(capsys):
     code, out, _ = run(["cylinder", "cusp", "--samples", "200",
                         "--seed", "1"], capsys)

@@ -589,6 +589,14 @@ def test_non_rotating_length_identity(reference, thick):
     assert proj + length == pytest.approx(thick.curve_length("aB"), rel=1e-12)
 
 
+def test_non_rotating_length_refuses_twisted_surfaces():
+    # rotation maps are read on untwisted surfaces; the refusal comes
+    # before the map is read
+    twisted = make_surface([1e-3, 2e-3, 3e-3], [0.5, -0.3, 0.2])
+    with pytest.raises(CombinatError, match="^surfaces must be untwisted$"):
+        non_rotating_length(twisted, "cd", {1: 0.0, 2: 1.0, 3: 1.0})
+
+
 def test_non_rotating_length_excludes_pants(reference):
     seq = intersection_sequence(reference, "c", search_depth=8)
     rot = combinatorial_rotation(classify_and_rotate(seq))
@@ -682,10 +690,17 @@ def counted_reference_searches(monkeypatch, dec):
     return calls
 
 
+def fresh_builtin():
+    """A decomposition glued as the builtin one, with memos of its own."""
+    dec = surface.builtin_genus2_convenient()
+    return surface.PantsDecomposition(dec.pants, dec.curve_edges)
+
+
 def test_reference_surface_is_one_per_decomposition():
     dec = surface.builtin_genus2_convenient()
+    assert surface.builtin_genus2_convenient() is dec
     assert surface.reference_surface(dec) is surface.reference_surface(dec)
-    other = surface.builtin_genus2_convenient()
+    other = fresh_builtin()
     assert surface.reference_surface(other) is not surface.reference_surface(
         dec)
 
@@ -706,13 +721,13 @@ def run_census_and_split(dec, census_first):
 
 
 def test_census_and_split_share_one_reference_search(monkeypatch):
-    dec = surface.builtin_genus2_convenient()
+    dec = fresh_builtin()
     calls = counted_reference_searches(monkeypatch, dec)
     rows, (r_vec, l_vec) = run_census_and_split(dec, census_first=True)
     assert calls == ["cd"]
     # the beam is deterministic: the other order, on a decomposition of
     # its own, gives the same rows and projections bit for bit
-    other = surface.builtin_genus2_convenient()
+    other = fresh_builtin()
     other_calls = counted_reference_searches(monkeypatch, other)
     rows2, (r2, l2) = run_census_and_split(other, census_first=False)
     assert other_calls == ["cd"]
@@ -721,7 +736,7 @@ def test_census_and_split_share_one_reference_search(monkeypatch):
 
 
 def test_failed_reference_search_is_searched_again(monkeypatch):
-    dec = surface.builtin_genus2_convenient()
+    dec = fresh_builtin()
     calls = counted_reference_searches(monkeypatch, dec)
     for _ in range(2):
         with pytest.raises(CombinatError,

@@ -458,10 +458,61 @@ def test_verify_names_first_degenerate_class_and_factor(pinched_pair):
                                  "image is parabolic")
 
 
+# criterion 11's rows, and a thin cone that a twist in one factor breaks
+C11_ROWS = [[0.8, 0.1, 0.1], [0.15, 0.8, 0.05], [0.1, 0.2, 0.7]]
+THIN_ROWS = [[1.0, 1.1, 1.0], [1.1, 1.0, 1.0], [1.0, 1.0, 1.1]]
+
+
+def _factors(dec, rows, scale, first_twists=None):
+    """One surface per column of rows * scale; the first one twisted."""
+    return [surface.build_holonomy(dec, surface.FNCoordinates(
+        [scale * row[j] for row in rows], first_twists if j == 0 else None))
+        for j in range(len(rows[0]))]
+
+
+@pytest.mark.parametrize("rows, scale, twist, tols", [
+    pytest.param(C11_ROWS, s, 0.0, (1e-2, 0.0), id="criterion11-%g" % s)
+    for s in (1e-2, 1e-3, 1e-4)] + [
+    pytest.param(THIN_ROWS, 1e-2, t, (1e-2, 1e-12, 0.0), id="thin-T%g" % t)
+    for t in (0.0, 1.0, 2.0, 3.0, 3.5, 8.0)])
+def test_screened_verdict_equals_exact_rows(dec, rows, scale, twist, tols):
+    family = curves.enumerate_conj_classes(2, 5)
+    surfaces = _factors(dec, rows, scale, [twist, 0.0, 0.0])
+    cone = cones.verify_limit_cone(surfaces, family)["cone"]
+    excesses = [r["angular_excess"]
+                for r in cones.ray_rows(surfaces, family, cone, 0.0)]
+    worst = max(range(len(family)), key=excesses.__getitem__)
+    for tol in tols:
+        report = cones.verify_limit_cone(surfaces, family, tol)
+        assert report["containment_rate"] == (
+            sum(e <= tol for e in excesses) / len(family))
+        assert report["worst_word"] == curves.word_to_text(family[worst].word)
+        assert report["worst_excess"] == excesses[worst]
+
+
+def test_screen_takes_few_exact_lengths(dec, monkeypatch):
+    # criterion 11's rows at 1e-3: the exact pass covers the pants curves
+    # and the classes near a facet, not the 2,074 classes in 3 factors
+    surfaces = _factors(dec, C11_ROWS, 1e-3)
+    family = curves.enumerate_conj_classes(2, 5)
+    counted = []
+    exact = surface.MarkedSurface.curve_lengths
+
+    def counting(self, words):
+        counted.extend(words)
+        return exact(self, words)
+
+    monkeypatch.setattr(surface.MarkedSurface, "curve_lengths", counting)
+    report = cones.verify_limit_cone(surfaces, family)
+    assert report["containment_rate"] == 1.0
+    assert report["worst_word"] == "bbb"
+    assert 0 < len(counted) <= 50
+
+
 def test_ray_cloud_in_positive_simplex(pinched_pair):
     family = curves.enumerate_conj_classes(2, 4)
     report = cones.verify_limit_cone(pinched_pair, family)
-    for row in report["rows"]:
+    for row in cones.ray_rows(pinched_pair, family, report["cone"], 1e-2):
         d = row["direction"]
         assert all(v > 0.0 for v in d)
         assert sum(v * v for v in d) == pytest.approx(1.0, rel=1e-12)
@@ -473,7 +524,8 @@ def test_ray_csv_schema(pinched_pair):
     header = cones.ray_csv_header(2)
     assert header == ("word,lambda_1,lambda_2,dir_1,dir_2,"
                       "in_cone,angular_excess")
-    rows = cones.ray_csv_rows(report)
+    rows = cones.ray_csv_rows(
+        cones.ray_rows(pinched_pair, family, report["cone"], 1e-2))
     assert len(rows) == len(family)
     for line in rows:
         parts = line.split(",")
@@ -593,8 +645,10 @@ def test_decompose_rejects_what_the_reference_map_does_not_cover(dec):
     with pytest.raises(combinat.CombinatError, match="untwisted"):
         cones.decompose_projection(twisted, "cd")
     lengths = surface.FNCoordinates([1e-3, 2e-3, 3e-3])
-    mixed = [surface.build_holonomy(dec, lengths), surface.build_holonomy(
-        surface.builtin_genus2_convenient(), lengths)]
+    # the builtin decomposition is one shared object; build another
+    other = surface.PantsDecomposition(dec.pants, dec.curve_edges)
+    mixed = [surface.build_holonomy(dec, lengths),
+             surface.build_holonomy(other, lengths)]
     with pytest.raises(combinat.CombinatError, match="decomposition"):
         cones.decompose_projection(mixed, "cd")
 

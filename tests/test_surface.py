@@ -33,6 +33,16 @@ def test_builtin_counts():
     assert len(d.curve_edges) == 3
 
 
+def test_builtin_is_one_immutable_object():
+    d = builtin_genus2_convenient()
+    assert builtin_genus2_convenient() is d
+    assert d.pants == (0, 1)
+    assert d.curve_edges == ((0, 1, 1, 1), (0, 2, 1, 2), (0, 3, 1, 3))
+    for name, value in (("pants", [0, 1]), ("curve_edges", ()), ("x", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(d, name, value)
+
+
 def test_decomposition_rejects_reused_slot():
     with pytest.raises(SurfaceError):
         PantsDecomposition([0, 1], [(0, 1, 1, 1), (0, 1, 1, 2), (0, 3, 1, 3)])
@@ -253,6 +263,32 @@ def batch_surfaces():
             builtin_surface([1e-3, 2e-4, 5e-4])]
 
 
+def _operator_mul(m, n):
+    """2x2 product by the number type's operators (mpf or interval)."""
+    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+
+
+def _operator_inv(m):
+    det = m[0] * m[3] - m[1] * m[2]
+    return (m[3] / det, -m[1] / det, -m[2] / det, m[0] / det)
+
+
+@pytest.mark.parametrize("dps", [80, 33])
+def test_kernel_matches_the_operators(dps):
+    # the libmp kernel rounds each step as the mpf operators do, so it
+    # gives their _mpf_ tuples bit for bit, at any working precision
+    rng = random.Random(dps)
+    with mpmath.workdps(dps):
+        for _ in range(200):
+            m, n = (tuple(mpmath.mpf(rng.uniform(-1.0, 1.0))
+                          * mpmath.exp(rng.uniform(-40.0, 40.0)) / 3
+                          for _ in range(4)) for _ in range(2))
+            for got, want in ((surface._mul(m, n), _operator_mul(m, n)),
+                              (surface._inv(m), _operator_inv(m))):
+                assert [x._mpf_ for x in got] == [x._mpf_ for x in want]
+
+
 def _oracle_lengths(s, words, dps=160):
     """For each word, the double nearest the length of the exact product of
     the surface's letters, or the message `curve_length` raises for it.
@@ -279,8 +315,8 @@ def _oracle_lengths(s, words, dps=160):
                 continue
             for k in range(1, len(word) + 1):
                 if word[:k] not in folds:
-                    folds[word[:k]] = surface._mul(folds[word[:k - 1]],
-                                                   letters[word[k - 1]])
+                    folds[word[:k]] = _operator_mul(folds[word[:k - 1]],
+                                                    letters[word[k - 1]])
             m = folds[word]
             t = abs(m[0] + m[3])
             with mpmath.workdps(2 * dps):

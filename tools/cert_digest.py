@@ -1,12 +1,15 @@
-"""Print a digest of the ratio certificates for a fixed set of runs.
+"""Print a digest of the ratio certificates and cone verdicts of fixed runs.
 
-Every certificate that `thurston._certificates` forms during the runs is
-recorded, and each run prints one line: its label, the number of
-certificates and a SHA-256 over them.  A certificate enters as the repr of
-its sup_ratio, its witness, family_size, skipped and exact_flag, so two
-trees print the same line only when every certificate matches bit for bit.
-A run that raises prints the exception's type and message instead.  The
-last line digests all runs.  Compare two trees with `diff`:
+Every certificate that `thurston._certificates` forms and every verdict
+that `cones.verify_limit_cone` returns during the runs is recorded, and
+each run prints one line: its label, the number of certificates and of
+verdicts and a SHA-256 over them.  A certificate enters as the repr of its
+sup_ratio, its witness, family_size, skipped and exact_flag, and a verdict
+as the repr of its containment_rate, worst_word, worst_excess and
+vertex_witnesses, so two trees print the same line only when every one
+matches bit for bit.  A run that raises prints the exception's type and
+message instead.  The last line digests all runs.  Compare two trees with
+`diff`:
 
     python3 tools/cert_digest.py --src /path/to/old/src > old.txt
     python3 tools/cert_digest.py > new.txt
@@ -17,9 +20,11 @@ the classes of up to 5 letters, on each of 4 seeded noisy pairs from each
 of 8 base points (thick, pinched and twisted ones, and three drawn as the
 benchmark's `spectrum` workload draws them), then criterion 9 (twenty
 noisy pairs and the inadmissible slope) and criterion 10 (the 5-point
-grid), with the seeds and families of tests/test_acceptance.py.  About
-3 s on a 2-core x86-64 machine, with the single trace kernel as with the
-80-digit fold it replaced (5 s before the integer screen fold).  Only
+grid), with the seeds and families of tests/test_acceptance.py.  Then
+the cone checks: criterion 11's five calls, and a thin cone (rows
+THIN_ROWS at 1e-2) with a twist T on curve 1 of its first factor only,
+for each T in THIN_TWISTS at each tolerance in THIN_TOLERANCES, over the
+classes of up to 5 letters.  About 5 s on a 2-core x86-64 machine.  Only
 the standard library and the package under --src are imported.
 """
 
@@ -36,6 +41,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CRITERION_SEED = 20260823
 CRITERION_BASE = [-13.0, -12.5, -12.2]
 PAIRS_PER_BASE = 4
+# criterion 11's rows, and the thin cone that a twist in one factor breaks
+CONE_ROWS = [[0.8, 0.1, 0.1], [0.15, 0.8, 0.05], [0.1, 0.2, 0.7]]
+THIN_ROWS = [[1.0, 1.1, 1.0], [1.1, 1.0, 1.0], [1.0, 1.0, 1.1]]
+THIN_TWISTS = (0.0, 1.0, 2.0, 3.0, 3.5, 8.0)
+THIN_TOLERANCES = (1e-2, 1e-12, 0.0)
 
 
 def base_points():
@@ -59,6 +69,44 @@ def base_points():
 def fields(cert):
     return repr((cert.sup_ratio, cert.witness, cert.family_size,
                  cert.skipped, cert.exact_flag))
+
+
+def verdict_fields(report):
+    return repr((report["containment_rate"], report["worst_word"],
+                 report["worst_excess"], report["vertex_witnesses"]))
+
+
+def factors(surface, dec, rows, scale, twists=None, first_only=False):
+    """One surface per column of rows * scale, with the twists on every
+    factor or on the first one only."""
+    return [surface.build_holonomy(dec, surface.FNCoordinates(
+        [scale * row[j] for row in rows],
+        twists if j == 0 or not first_only else None))
+        for j in range(len(rows[0]))]
+
+
+def cone_runs(cones, surface, dec, family):
+    """(label, run) of criterion 11 and of each thin twisted cone."""
+
+    def criterion_11():
+        cones.verify_limit_cone(factors(surface, dec, CONE_ROWS, 1e-3),
+                                family)
+        cones.verify_limit_cone(factors(surface, dec, CONE_ROWS, 1e-3,
+                                        [1.0, -0.8, 0.6]), family)
+        for scale in (1e-2, 1e-3, 1e-4):
+            cones.verify_limit_cone(factors(surface, dec, CONE_ROWS, scale),
+                                    family)
+
+    runs = [("criterion 11", criterion_11)]
+    for twist in THIN_TWISTS:
+
+        def thin(twist=twist):
+            surfaces = factors(surface, dec, THIN_ROWS, 1e-2,
+                               [twist, 0.0, 0.0], first_only=True)
+            for tol in THIN_TOLERANCES:
+                cones.verify_limit_cone(surfaces, family, tol)
+        runs.append(("thin T=%g" % twist, thin))
+    return runs
 
 
 def noisy_pairs(thurston, surface, dec, family):
@@ -108,35 +156,45 @@ def main(argv=None):
                              "(default: this repository's src)")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from teichlab import curves, surface, thurston
+    from teichlab import cones, curves, surface, thurston
 
-    recorded = []
+    recorded, verdicts = [], []
     certificates = thurston._certificates
+    verify = cones.verify_limit_cone
 
     def recording(*call):
         certs = certificates(*call)
         recorded.extend(certs)
         return certs
 
+    def recording_verdict(*call):
+        report = verify(*call)
+        verdicts.append(report)
+        return report
+
     thurston._certificates = recording
+    cones.verify_limit_cone = recording_verdict
     dec = surface.builtin_genus2_convenient()
     family4 = [c.word for c in curves.enumerate_conj_classes(2, 4)]
-    runs = noisy_pairs(thurston, surface, dec,
-                       curves.enumerate_conj_classes(2, 5))
+    family5 = curves.enumerate_conj_classes(2, 5)
+    runs = noisy_pairs(thurston, surface, dec, family5)
     runs.append(("criterion 9", lambda: criterion_9(thurston, dec, family4)))
     runs.append(("criterion 10", lambda: thurston.linf_grid_check(
         CRITERION_BASE, 1.0, 1, 5, family4, dec)))
+    runs += cone_runs(cones, surface, dec, family5)
     whole = hashlib.sha256()
     for label, run in runs:
-        del recorded[:]
+        del recorded[:], verdicts[:]
         try:
             run()
         except Exception as exc:  # the message is part of the record
             line = "%s: %s" % (type(exc).__name__, exc)
         else:
-            text = "\n".join(fields(c) for c in recorded)
-            line = "%d certificates sha256 %s" % (
-                len(recorded), hashlib.sha256(text.encode()).hexdigest())
+            text = "\n".join([fields(c) for c in recorded]
+                             + [verdict_fields(r) for r in verdicts])
+            line = "%d certificates %d verdicts sha256 %s" % (
+                len(recorded), len(verdicts),
+                hashlib.sha256(text.encode()).hexdigest())
         whole.update((label + line).encode())
         print("%-20s %s" % (label, line), flush=True)
     print("%-20s sha256 %s" % ("all", whole.hexdigest()))
