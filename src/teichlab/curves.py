@@ -3,8 +3,8 @@
 Free homotopy classes in the genus-2 surface group are handled as cyclic
 words in the four marking generators, identified under rotation and
 inversion.  Relator-equivalent duplicates are not quotiented (no conjugacy
-solver); downstream experiments collapse them by length/rotation
-fingerprints instead.
+solver), and nothing downstream collapses them: a class of the surface
+group can appear as several free classes (ROADMAP item 3).
 
 Word text writes generator i as the i-th letter of "abcd" and its inverse
 in uppercase; this module is the one place that reads and writes it.

@@ -15,16 +15,20 @@ cancels ~exp(4 * seam length) worth of digits.  Double precision cannot
 survive that for short cuffs, so the holonomy core runs in mpmath extended
 precision.  Lengths and holonomies leave it as floats; the lift search
 conjugates the 80-digit generators into its axis chart before it rounds
-them.  The float views of the pants geometry (axes, feet, seam lines,
-vertices, X) are built on every build although only tests read them, and
-building them raises Hyp2Error once a cuff is below about 2e-6, where two
-float endpoints coincide (the bench's known defect 1).
+them.  A build develops one pants geometry per distinct half-length
+triple, so the builtin decomposition's two pants share one, and it skips
+every product with the root pants' placement, the identity.  The float
+views of the pants geometry (axes, feet, seam lines, vertices, X) are
+built with it although only tests read them, and building them raises
+Hyp2Error once a cuff is below about 2e-6, where two float endpoints
+coincide (the bench's known defect 1).
 
 One kernel folds words into traces: `_int_traces` multiplies the
-80-digit letters, which are dyadic rationals, over scaled integers and
-carries a radius that bounds its distance to the exact trace of their
-exact product.  Each length the module returns is defined as the double
-nearest the exact length 2 acosh(t/2) of that trace.  The radius and an
+80-digit letters, which are dyadic rationals, over scaled integers (each
+surface converts its letters once, `_int_letter`) and carries a radius
+that bounds its distance to the exact trace of their exact product.
+Each length the module returns is defined as the double nearest the
+exact length 2 acosh(t/2) of that trace.  The radius and an
 outward-rounded root and log enclose the length (`_length`); where the
 enclosure holds a midpoint between two doubles, the word is folded again
 at twice the bits (A. Ziv, ACM TOMS 17(3), 1991) up to a stated cap.
@@ -231,11 +235,16 @@ class PantsGeometry:
     is the hexagon corner between the boundary side and seam k+1; it sits at
     parameter 0 of the boundary axis frame used for gluing.  The seam
     lengths come from `pants._seam_split` at 80 digits, the closed form
-    that the float pentagon split uses too.  The mpmath internals carry the
-    precision; the float views (axes, feet, seam_lines, vertices, X as
-    IsometryMatrix) are read only by tests, and building the axes raises
-    Hyp2Error ("geodesic needs distinct endpoints") once a cuff is below
-    about 2e-6, where two float endpoints coincide.
+    that the float pentagon split uses too.  A geometry depends only on
+    its half-lengths and is not changed after it is built, so
+    `build_holonomy` gives pants with one triple the same object.  The
+    first frame is the identity, and the development starts from the
+    first side's translation, which is the same product bit for bit.  The
+    mpmath internals carry the precision; the float views (axes, feet,
+    seam_lines, vertices, X as IsometryMatrix) are read only by tests, and
+    building the axes raises Hyp2Error ("geodesic needs distinct
+    endpoints") once a cuff is below about 2e-6, where two float
+    endpoints coincide.
     """
 
     def __init__(self, half_lengths):
@@ -251,9 +260,11 @@ class PantsGeometry:
             # sides: alpha1, zeta3', alpha2, zeta1', alpha3, zeta2'
             side_lengths = [a[0], seam[2], a[1], seam[0], a[2], seam[1]]
             quarter, half_turn = _turns(mpmath.mp.prec)
-            frames = []
-            g = _MP_ID
-            for L in side_lengths:
+            # the first frame is _MP_ID, whose product with a matrix is
+            # that matrix bit for bit, so the first step skips it
+            frames = [_MP_ID]
+            g = _mul(_trans(side_lengths[0]), quarter)
+            for L in side_lengths[1:]:
                 frames.append(g)
                 g = _mul(_mul(g, _trans(L)), quarter)
             # closure of the right hexagon is the defining identity of the
@@ -332,6 +343,9 @@ class MarkedSurface:
             for i, g in enumerate(mp_generators, start=1):
                 self._mp_letters[i] = g
                 self._mp_letters[-i] = _inv(g)
+        # signed letter -> the same matrix as `_int_traces` reads it
+        self._int_letters = {v: _int_letter(m)
+                             for v, m in self._mp_letters.items()}
         self.curve_words = curve_words
         self.seam_words = seam_words
         self.relator_residual = relator_residual
@@ -402,7 +416,8 @@ class MarkedSurface:
         """|trace| n 2^e of each cyclically reduced word, as (n, e, radius).
 
         The one fold of words into traces.  Each letter is four ints with
-        one binary exponent, which hold the 80-digit entries exactly, and
+        one binary exponent, which hold the 80-digit entries exactly (the
+        table `_int_letters`, built with the surface), and
         each product keeps `bits` bits of its largest entry.  The integer
         radius, in units of 2^e, bounds the distance to the exact trace of
         the letters' exact product: a product's entries are sums of two
@@ -413,60 +428,74 @@ class MarkedSurface:
         shrinks as the bits grow.
 
         A stack holds the products of the previous word's proper
-        prefixes; a word reuses those of its common prefix with it, forms
-        one product per further letter but the last, and takes only the
-        diagonal of its last product.  Words that share prefixes should
-        come in a row (enumeration order does this); any order gives the
-        same traces.  An empty word gives None.
+        prefixes, and the last of them is the product the loop holds.  A
+        word with the same proper prefix as the previous one (the common
+        case in enumeration order) takes its trace from that product; any
+        other word reuses the stack's products of its common prefix with
+        the previous word and forms one product per further letter but
+        the last.  Each word takes only the diagonal of its last product.
+        Words that share prefixes should come in a row; any order gives
+        the same traces.  An empty word gives None.
         """
-        letters = {}
-        for v, m in self._mp_letters.items():
-            parts = [x._mpf_ for x in m]
-            e = min(exp for _, man, exp, _ in parts if man)
-            a = [(-1 if sign else 1) * (int(man) << (exp - e))
-                 for sign, man, exp, _ in parts]
-            # max column sum and sum of |entries|: what a product's and a
-            # trace's radii scale with
-            col = max(abs(a[0]) + abs(a[2]), abs(a[1]) + abs(a[3]))
-            letters[v] = (*a, e, col, sum(map(abs, a)))
+        letters = self._int_letters
         out = []
         # stack[k]: (p0, p1, p2, p3, e, radius) for the product of the
-        # first k letters of `prev`; it never holds a whole word's product
+        # first k letters of `prefix`, the previous word's proper prefix;
+        # p0 ... r hold the product of all of it
         stack = [(1, 0, 0, 1, 0, 0)]
-        prev = ()
+        p0, p1, p2, p3, e, r = stack[0]
+        prefix = ()
         for word in words:
             if not word:
                 out.append(None)
                 continue
-            k = 0
-            top = min(len(word), len(stack)) - 1
-            while k < top and word[k] == prev[k]:
-                k += 1
-            del stack[k + 1:]
-            p0, p1, p2, p3, e, r = stack[-1]
-            for v in word[k:-1]:
-                a0, a1, a2, a3, ea, c, _ = letters[v]
-                p0, p1 = p0 * a0 + p1 * a2, p0 * a1 + p1 * a3
-                p2, p3 = p2 * a0 + p3 * a2, p2 * a1 + p3 * a3
-                r *= c
-                e += ea
-                s = max(abs(p0), abs(p1), abs(p2), abs(p3)).bit_length() - bits
-                if s > 0:
-                    p0, p1, p2, p3 = p0 >> s, p1 >> s, p2 >> s, p3 >> s
-                    e += s
-                    r = (r >> s) + 2
-                stack.append((p0, p1, p2, p3, e, r))
-            prev = word
+            head = word[:-1]
+            if head != prefix:
+                k = 0
+                top = min(len(head), len(prefix))
+                while k < top and head[k] == prefix[k]:
+                    k += 1
+                del stack[k + 1:]
+                p0, p1, p2, p3, e, r = stack[-1]
+                for v in head[k:]:
+                    a0, a1, a2, a3, ea, c, _ = letters[v]
+                    p0, p1 = p0 * a0 + p1 * a2, p0 * a1 + p1 * a3
+                    p2, p3 = p2 * a0 + p3 * a2, p2 * a1 + p3 * a3
+                    r *= c
+                    e += ea
+                    s = (max(abs(p0), abs(p1), abs(p2), abs(p3)).bit_length()
+                         - bits)
+                    if s > 0:
+                        p0, p1, p2, p3 = p0 >> s, p1 >> s, p2 >> s, p3 >> s
+                        e += s
+                        r = (r >> s) + 2
+                    stack.append((p0, p1, p2, p3, e, r))
+                prefix = head
             a0, a1, a2, a3, ea, _, g = letters[word[-1]]
             out.append((abs(p0 * a0 + p1 * a2 + p2 * a1 + p3 * a3), e + ea,
                         r * g))
         return out
 
 
+def _int_letter(m):
+    """An 80-digit matrix as `_int_traces` reads it: four ints a with one
+    binary exponent e, which hold the entries exactly, then the largest
+    column sum and the sum of the |a|, which a product's radius and a
+    trace's radius scale with."""
+    parts = [x._mpf_ for x in m]
+    e = min(exp for _, man, exp, _ in parts if man)
+    a = [(-1 if sign else 1) * (int(man) << (exp - e))
+         for sign, man, exp, _ in parts]
+    col = max(abs(a[0]) + abs(a[2]), abs(a[1]) + abs(a[3]))
+    return (*a, e, col, sum(map(abs, a)))
+
+
 # bits the fold keeps of each product's largest entry, at first; refolds
 # double them up to the cap
 _BITS = 272
 _MAX_BITS = 16 * _BITS
+# a trace within 1 / _PARABOLIC_SCALE of 2 counts as parabolic
+_PARABOLIC_SCALE = 10 ** 40
 
 
 def _estimate(n, e, radius):
@@ -484,8 +513,12 @@ def _estimate(n, e, radius):
     """
     if e > 0:
         n, radius, e = n << e, radius << e, 0
-    d = n - (2 << -e)
-    if (d - radius) * 10 ** 40 < 1 << -e:
+    # the least excess over 2 within the radius; one of b bits is at
+    # least 2^(b - 1), and 10^40 > 2^132, so only a short one can be
+    # below 1e-40
+    low = n - (2 << -e) - radius
+    if low <= 0 or (low.bit_length() < -131 - e
+                    and low * _PARABOLIC_SCALE < 1 << -e):
         return None
     try:
         x = math.ldexp(n, e)
@@ -494,8 +527,9 @@ def _estimate(n, e, radius):
     if x >= 3.0:
         length = 2.0 * math.acosh(x / 2.0)
     else:
-        length = 4.0 * math.asinh(math.sqrt(math.ldexp(d, e)) / 2.0)
-    return length, 2.0 * (radius / (d - radius)) * (x / (x + 2.0))
+        length = 4.0 * math.asinh(math.sqrt(math.ldexp(low + radius, e))
+                                  / 2.0)
+    return length, 2.0 * (radius / low) * (x / (x + 2.0))
 
 
 def _length(n, e, radius, bits):
@@ -531,7 +565,7 @@ def _length(n, e, radius, bits):
         n, radius, e = n << e, radius << e, 0
     two = 2 << -e
     ends = (n - radius, 0), (n + radius, 1)
-    kinds = {"parabolic" if abs(m - two) * 10 ** 40 < 1 << -e
+    kinds = {"parabolic" if abs(m - two) * _PARABOLIC_SCALE < 1 << -e
              else "elliptic" if m < two else None for m, _ in ends}
     if len(kinds) > 1:
         return None
@@ -569,15 +603,31 @@ def build_holonomy(decomposition, coords):
         i, _ = decomposition.edge_at(node, slot)
         return coords.lengths[i]
 
-    geoms = {}
+    # one geometry per distinct half-length triple: the builtin
+    # decomposition's two pants share theirs
+    geoms, shapes = {}, {}
     for p in decomposition.pants:
         halves = tuple(edge_length(p, k) / 2.0 for k in (1, 2, 3))
-        geoms[p] = PantsGeometry(halves)
+        if halves not in shapes:
+            shapes[halves] = PantsGeometry(halves)
+        geoms[p] = shapes[halves]
 
     with mpmath.workdps(_DPS):
-        # spanning tree by BFS from the first pants
+        # spanning tree by BFS from the first pants, placed at _MP_ID; a
+        # product with the identity is the other factor bit for bit, so
+        # the root's products are skipped
         root = decomposition.pants[0]
         placements = {root: _MP_ID}
+
+        def placed(p, m):
+            # placements[p] m
+            return m if p == root else _mul(placements[p], m)
+
+        def conjugate(p, m):
+            # placements[p] m placements[p]^-1
+            return (m if p == root
+                    else _mul(_mul(placements[p], m), inverses[p]))
+
         tree_edges = set()
         queue = [root]
         while queue:
@@ -588,26 +638,27 @@ def build_holonomy(decomposition, coords):
                     continue
                 glue = _glue_map(geoms[node], slot, geoms[other], oslot,
                                  coords.twists[i])
-                placements[other] = _mul(placements[node], glue)
+                placements[other] = placed(node, glue)
                 tree_edges.add(i)
                 queue.append(other)
         if len(placements) != len(decomposition.pants):
             raise SurfaceError("decomposition graph is not connected")
+        inverses = {p: _inv(g) for p, g in placements.items() if p != root}
 
         stable = {}
         for i, (p, s, q, r) in enumerate(decomposition.curve_edges):
             if i in tree_edges:
                 continue
-            via = _mul(placements[p],
-                       _glue_map(geoms[p], s, geoms[q], r, coords.twists[i]))
-            stable[i] = _mul(via, _inv(placements[q]))
+            via = placed(p, _glue_map(geoms[p], s, geoms[q], r,
+                                      coords.twists[i]))
+            stable[i] = via if q == root else _mul(via, inverses[q])
 
         # conjugated boundary matrices and per-edge residuals
         curve_matrices = []
         worst = 0.0
         for i, (p, s, q, r) in enumerate(decomposition.curve_edges):
-            near = _mul(_mul(placements[p], geoms[p]._X[s]), _inv(placements[p]))
-            far = _mul(_mul(placements[q], geoms[q]._X[r]), _inv(placements[q]))
+            near = conjugate(p, geoms[p]._X[s])
+            far = conjugate(q, geoms[q]._X[r])
             if i in stable:
                 far = _mul(_mul(stable[i], far), _inv(stable[i]))
             worst = max(worst, _identity_residual_mp(_mul(near, far)))

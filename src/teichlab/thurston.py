@@ -233,8 +233,10 @@ _WITNESS_BAND = 1e-12
 _SCREEN_REL_ERR = 1e-13
 
 
-def _sup_certificate(words, x_estimates, y_estimates, x_surface, y_surface):
-    """The certificate of `ratio_sup` from the length estimates of its words.
+def _sup_certificate(family, x_estimates, y_estimates, x_surface,
+                     y_surface):
+    """The certificate of `ratio_sup` from the length estimates of the
+    family's words; only the candidates' classes are read as words.
 
     Every word with a decided estimate on both surfaces, a trace part
     rx + ry <= delta/2 and a finite positive estimated ratio
@@ -262,7 +264,7 @@ def _sup_certificate(words, x_estimates, y_estimates, x_surface, y_surface):
     supremum, the witness and the counts; the slack between 1e-15 and
     delta/2 absorbs the roundings of the bar itself.
     """
-    if not words:
+    if not family:
         raise ThurstonError("family must be nonempty")
     screened, candidates = [], []
     for i, (ex, ey) in enumerate(zip(x_estimates, y_estimates)):
@@ -279,18 +281,18 @@ def _sup_certificate(words, x_estimates, y_estimates, x_surface, y_surface):
                                              * (1.0 - 2.0 * _SCREEN_REL_ERR))
         candidates += [i for ratio, i in screened if ratio >= bar]
     error = surface_mod.SurfaceError
-    batch = [words[i] for i in candidates]
+    batch = [curves._as_word(family[i]) for i in candidates]
     evaluated = [(w, ly / lx) for w, lx, ly in zip(
         batch, x_surface.curve_lengths(batch), y_surface.curve_lengths(batch))
         if not isinstance(lx, error) and not isinstance(ly, error)]
     skipped = len(candidates) - len(evaluated)
-    if skipped == len(words):
+    if skipped == len(family):
         raise ThurstonError("no hyperbolic class in the family")
     sup_ratio = max(r for _, r in evaluated)
     # witness: canonically smallest word within the band below the supremum
     witness = min((w for w, r in evaluated
                    if r >= sup_ratio * (1.0 - _WITNESS_BAND)), key=_class_key)
-    return RatioCertificate(sup_ratio, witness, len(words) - skipped,
+    return RatioCertificate(sup_ratio, witness, len(family) - skipped,
                             skipped, False)
 
 
@@ -301,10 +303,9 @@ def _certificates(surfaces, family, pairs):
     reads those batches; only a pair's candidates go through
     `curve_lengths`.
     """
-    words = [curves._as_word(cls) for cls in family]
     reduced = [curves._reduced_word(cls) for cls in family]
     estimates = [s.length_estimates(reduced) for s in surfaces]
-    return [_sup_certificate(words, estimates[x], estimates[y], surfaces[x],
+    return [_sup_certificate(family, estimates[x], estimates[y], surfaces[x],
                              surfaces[y]) for x, y in pairs]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -451,6 +452,42 @@ def test_integer_traces_within_their_radius(radius_surfaces):
         assert None not in s.length_estimates(words)
 
 
+def _prefix_families():
+    """L5 in enumeration order, reversed and shuffled, and with words
+    repeated twice in a row, empty words and single letters after longer
+    words, some of them right after an empty word."""
+    l5 = [c.word for c in curves.enumerate_conj_classes(2, 5)]
+    shuffled = list(l5)
+    random.Random(32).shuffle(shuffled)
+    mixed = []
+    for i, w in enumerate(l5):
+        mixed.append(w)
+        if i % 3 == 0:
+            mixed.append(w)
+        if i % 5 == 0:
+            mixed += [(), w[:1]]
+        if i % 7 == 0:
+            mixed.append((_LETTERS[i % 8],))
+    return {"enumerated": l5, "reversed": l5[::-1], "shuffled": shuffled,
+            "mixed": mixed}
+
+
+@pytest.mark.parametrize("bits", [272, 64])
+def test_traces_reuse_a_prefix_product_only_for_the_same_prefix(bits):
+    # a word whose proper prefix is the previous word's takes its trace
+    # from the product the fold holds; after a word of another length or
+    # an empty word it must not, so every order gives each word's trace
+    # alone
+    for s in (surface.reference_surface(builtin_genus2_convenient()),
+              builtin_surface([2.3e-6, 3.7e-6, 5e-6], [1.0, 2.0, -3.0])):
+        families = _prefix_families()
+        alone = {w: s._int_traces([w], bits)[0]
+                 for w in set(families["mixed"])}
+        for name, family in families.items():
+            assert s._int_traces(family, bits) == [alone[w] for w in family], (
+                name, bits)
+
+
 def test_lengths_are_the_nearest_doubles(radius_surfaces):
     words = [c.word for c in curves.enumerate_conj_classes(2, 5)]
     for lengths, s in zip(RADIUS_COORDS, radius_surfaces):
@@ -513,6 +550,68 @@ def test_holonomy_accepts_signed_indices():
     m1 = s.holonomy("aB")
     m2 = s.holonomy((1, -2))
     assert m1.approx_eq(m2, tol=1e-14)
+
+
+# generators' _mpf_ tuples and relator residual of builtin surfaces, as
+# SHA-256 of their repr (`_build_digest`), recorded before the builds shared
+# one geometry between the two pants
+BUILD_DIGESTS = {
+    ((0.7, 0.8, 0.9), None):
+        "276d86f9952ab3466e82f574c6fdfb4263882bf4263bc3242ec70722cb021310",
+    ((0.7, 0.8, 0.9), (1.0, 2.0, -3.0)):
+        "91930db5d46a578d1b00b4e91472243db0a96602921f74331dc0dd2f80248b73",
+    ((1e-3, 2e-4, 5e-4), None):
+        "65c9c1b3a9872910dcf118b8ff5e3e60b861937c468bbd6b054fa40a14027b13",
+    ((1e-3, 2e-4, 5e-4), (1.0, 2.0, -3.0)):
+        "52fbbd2fa02f08ae5ca49a900b2e8eed4cb8b944cf806ba4cb6a27dade945e1b",
+    ((2.3e-6, 3.7e-6, 5e-6), None):
+        "85707b0f5123d65feb251b636c34198cf3dd6bfe3af5c731313d55201c8ce9d7",
+    ((2.3e-6, 3.7e-6, 5e-6), (1.0, 2.0, -3.0)):
+        "8f488de1cddd1f8bd8a92ef4b612e342f76574fb0aead4d7a5b567da21bc2137",
+}
+
+
+def _build_digest(s):
+    gens = [(sign, int(man), exp, bc) for i in (1, 2, 3, 4)
+            for sign, man, exp, bc in (x._mpf_ for x in s._mp_letters[i])]
+    return hashlib.sha256(repr((gens, s.relator_residual)).encode()).hexdigest()
+
+
+def test_one_pants_geometry_per_shape(monkeypatch):
+    built = []
+    geometry = surface.PantsGeometry
+
+    def counting(halves):
+        built.append(halves)
+        return geometry(halves)
+
+    monkeypatch.setattr(surface, "PantsGeometry", counting)
+    # the builtin decomposition's two pants have one half-length triple
+    for (lengths, twists), want in BUILD_DIGESTS.items():
+        built.clear()
+        assert _build_digest(builtin_surface(lengths, twists)) == want
+        assert built == [tuple(v / 2.0 for v in lengths)]
+    # a geometry that raises does so from the one build
+    built.clear()
+    with pytest.raises(hyp2.Hyp2Error, match="distinct endpoints"):
+        builtin_surface([1e-6, 2e-6, 3e-6])
+    assert len(built) == 1
+    # another slot pairing gives the two pants different triples; the
+    # builtin marking's relator does not hold for it
+    built.clear()
+    swapped = PantsDecomposition([0, 1], [(0, 1, 1, 2), (0, 2, 1, 1),
+                                          (0, 3, 1, 3)])
+    with pytest.raises(SurfaceError, match="relator residual"):
+        build_holonomy(swapped, FNCoordinates([1.0, 1.2, 0.9]))
+    assert built == [(0.5, 0.6, 0.45), (0.6, 0.5, 0.45)]
+    # genus 3: pants 0 and 1 share a triple, pants 2 and 3 do not
+    built.clear()
+    edges = [(0, 1, 1, 1), (0, 2, 1, 2), (0, 3, 2, 1), (1, 3, 2, 2),
+             (2, 3, 3, 1), (3, 2, 3, 3)]
+    s = build_holonomy(PantsDecomposition([0, 1, 2, 3], edges),
+                       FNCoordinates([1.0, 1.2, 0.9, 0.9, 1.1, 0.8]))
+    assert s.relator_residual <= 1e-9
+    assert len(built) == 3
 
 
 # --- beyond the builtin graph --------------------------------------------------

@@ -427,6 +427,13 @@ def test_trace_within_1e_40_of_2_is_a_candidate():
     # lengths decide, so the screen leaves it undecided
     assert surface._estimate((2 << 200) + 2, -200, 1) is None
     assert surface._estimate((2 << 100) + 2, -100, 1) is not None
+    # at the threshold, and where the excess's bit length alone decides
+    for e in (-140, -200, -300, -450):
+        edge = (1 << -e) // 10 ** 40
+        for low in (edge - 1, edge, edge + 1, 1 << (-e - 134),
+                    1 << (-e - 133), 1 << (-e - 132), 1 << (-e - 131)):
+            got = surface._estimate((2 << -e) + low + 1, e, 1)
+            assert (got is None) == (low * 10 ** 40 < 1 << -e), (e, low)
 
 
 def test_trace_beyond_float_range_is_a_candidate():

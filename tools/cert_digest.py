@@ -24,8 +24,13 @@ grid), with the seeds and families of tests/test_acceptance.py.  Then
 the cone checks: criterion 11's five calls, and a thin cone (rows
 THIN_ROWS at 1e-2) with a twist T on curve 1 of its first factor only,
 for each T in THIN_TWISTS at each tolerance in THIN_TOLERANCES, over the
-classes of up to 5 letters.  About 5 s on a 2-core x86-64 machine.  Only
-the standard library and the package under --src are imported.
+classes of up to 5 letters.  Last, one line per base point, on the
+surface at its lengths and twists, gives a SHA-256 over the repr of
+`length_estimates` of the classes of up to 5 letters and one over
+`_int_traces` of them at `surface._BITS` bits, so an estimate whose bits
+move shows even where no certificate moves.  About 5 s on a 2-core
+x86-64 machine.  Only the standard library and the package under --src
+are imported.
 """
 
 import argparse
@@ -64,6 +69,10 @@ def base_points():
         points.append(("drawn%d" % k,
                        [rng.uniform(-14.0, -12.0) for _ in range(3)], None))
     return points
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def fields(cert):
@@ -183,6 +192,11 @@ def main(argv=None):
         CRITERION_BASE, 1.0, 1, 5, family4, dec)))
     runs += cone_runs(cones, surface, dec, family5)
     whole = hashlib.sha256()
+
+    def emit(label, line):
+        whole.update((label + line).encode())
+        print("%-20s %s" % (label, line), flush=True)
+
     for label, run in runs:
         del recorded[:], verdicts[:]
         try:
@@ -193,10 +207,19 @@ def main(argv=None):
             text = "\n".join([fields(c) for c in recorded]
                              + [verdict_fields(r) for r in verdicts])
             line = "%d certificates %d verdicts sha256 %s" % (
-                len(recorded), len(verdicts),
-                hashlib.sha256(text.encode()).hexdigest())
-        whole.update((label + line).encode())
-        print("%-20s %s" % (label, line), flush=True)
+                len(recorded), len(verdicts), sha256(text))
+        emit(label, line)
+    words5 = [c.word for c in family5]
+    for label, logs, twists in base_points():
+        try:
+            s = surface.build_holonomy(dec, surface.FNCoordinates(
+                [math.exp(v) for v in logs], twists))
+            line = "estimates sha256 %s traces sha256 %s" % (
+                sha256(repr(s.length_estimates(words5))),
+                sha256(repr(s._int_traces(words5, surface._BITS))))
+        except Exception as exc:  # the message is part of the record
+            line = "%s: %s" % (type(exc).__name__, exc)
+        emit("fold " + label, line)
     print("%-20s sha256 %s" % ("all", whole.hexdigest()))
     return 0
 
