@@ -416,6 +416,18 @@ def _within(n, e, radius, exact):
     return abs((n << (e - low)) - (m << (f - low))) <= radius << (e - low)
 
 
+def _exact_trace(s, word):
+    """|trace| of the exact product of the word's letters, as (m, f, 0),
+    multiplied letter by letter with no truncation and no stack."""
+    p0, p1, p2, p3, f = 1, 0, 0, 1, 0
+    for v in word:
+        a0, a1, a2, a3, ea = s._int_letters[v][:5]
+        p0, p1 = p0 * a0 + p1 * a2, p0 * a1 + p1 * a3
+        p2, p3 = p2 * a0 + p3 * a2, p2 * a1 + p3 * a3
+        f += ea
+    return abs(p0 + p3), f, 0
+
+
 _RADIUS_RNG = random.Random(24)
 # pinched, thick and twisted surfaces
 RADIUS_COORDS = [
@@ -440,8 +452,8 @@ def test_integer_traces_within_their_radius(radius_surfaces):
     # 64 bits the radius still holds
     words = [c.word for c in curves.enumerate_conj_classes(2, 5)]
     for lengths, s in zip(RADIUS_COORDS, radius_surfaces):
-        exact = s._int_traces(words, 1 << 16)
-        assert all(r == 0 for _, _, r in exact)
+        exact = [_exact_trace(s, w) for w in words]
+        assert s._int_traces(words, 1 << 16) == exact
         for bits in (272, 64):
             ints = s._int_traces(words, bits)
             for w, (n, e, radius), t in zip(words, ints, exact):
@@ -477,12 +489,16 @@ def test_traces_reuse_a_prefix_product_only_for_the_same_prefix(bits):
     # a word whose proper prefix is the previous word's takes its trace
     # from the product the fold holds; after a word of another length or
     # an empty word it must not, so every order gives each word's trace
-    # alone
+    # alone, and that lies within its radius of the exact trace
     for s in (surface.reference_surface(builtin_genus2_convenient()),
               builtin_surface([2.3e-6, 3.7e-6, 5e-6], [1.0, 2.0, -3.0])):
         families = _prefix_families()
         alone = {w: s._int_traces([w], bits)[0]
                  for w in set(families["mixed"])}
+        assert alone.pop(()) is None
+        for w, t in alone.items():
+            assert _within(*t, _exact_trace(s, w)), (w, bits)
+        alone[()] = None
         for name, family in families.items():
             assert s._int_traces(family, bits) == [alone[w] for w in family], (
                 name, bits)
