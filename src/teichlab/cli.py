@@ -62,10 +62,6 @@ class UsageError(ValueError):
     pass
 
 
-def _profile(args):
-    return constants.TOLERANCE_PROFILES[args.tolerance_profile]
-
-
 def _build(lengths, twists=None):
     dec = surface_mod.builtin_genus2_convenient()
     coords = surface_mod.FNCoordinates(lengths, twists)
@@ -94,7 +90,7 @@ def _load_json(path):
 
 
 def cmd_hexagon(args, rep):
-    tol = _profile(args)["residual"]
+    tol = 1e-10   # on the relative pentagon residuals
     shapes = [tuple(args.a)] if args.a else []
     rng = random.Random(args.seed)
     for _ in range(args.samples):
@@ -110,7 +106,7 @@ def cmd_hexagon(args, rep):
 
 
 def cmd_surface(args, rep):
-    tol = _profile(args)["relative"]
+    tol = 1e-9   # on the relator residual and the relative length errors
     marked = _build(args.lengths, args.twists)
     residual = marked.relator_residual
     worst_rel = 0.0
@@ -132,7 +128,7 @@ def cmd_lengths(args, rep):
 
 
 def cmd_rotation(args, rep):
-    marked = _build(args.lengths, args.twists)
+    marked = _build(args.lengths)
     seq = combinat.intersection_sequence(marked, args.word, args.depth)
     data = combinat.classify_and_rotate(seq)
     rot = combinat.combinatorial_rotation(data)
@@ -143,7 +139,7 @@ def cmd_rotation(args, rep):
 
 
 def cmd_nonrot(args, rep):
-    marked = _build(args.lengths, args.twists)
+    marked = _build(args.lengths)
     i_p, rotation = combinat.reference_rotation(marked.decomposition,
                                                 args.word, args.depth)
     proj, rest = combinat.non_rotating_length(marked, args.word, rotation)
@@ -378,8 +374,6 @@ def build_parser():
                     "Fenchel-Nielsen coordinates.")
     top.add_argument("--out-dir", default=None,
                      help="write report files here instead of stdout")
-    top.add_argument("--tolerance-profile", default="default",
-                     choices=sorted(constants.TOLERANCE_PROFILES))
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hexagon", help="pentagon identity residuals")
@@ -401,7 +395,6 @@ def build_parser():
 
     p = sub.add_parser("rotation", help="combinatorial rotation numbers")
     _lengths_arg(p)
-    p.add_argument("--twists", type=float, nargs=3, default=None)
     p.add_argument("--word", required=True)
     p.add_argument("--depth", type=int,
                    default=constants.LIFT_SEARCH_DEPTH_DEFAULT)
@@ -409,7 +402,6 @@ def build_parser():
 
     p = sub.add_parser("nonrot", help="non-rotating length")
     _lengths_arg(p)
-    p.add_argument("--twists", type=float, nargs=3, default=None)
     p.add_argument("--word", required=True)
     p.add_argument("--depth", type=int,
                    default=constants.LIFT_SEARCH_DEPTH_DEFAULT)
@@ -516,11 +508,9 @@ def main(argv=None):
     rep = _Reporter(args.out_dir)
     try:
         code = args.func(args, rep)
-    except UsageError as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return USAGE
     except ValueError as ex:
-        # domain violations from the library name the offending knob
+        # UsageError, and domain violations from the library that name the
+        # offending knob
         print("error: %s" % ex, file=sys.stderr)
         return USAGE
     except ArithmeticError as ex:

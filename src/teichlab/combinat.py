@@ -16,6 +16,7 @@ one endpoint on each side, and the period acts by scaling.
 """
 
 import bisect
+import functools
 import math
 import sys
 
@@ -77,6 +78,20 @@ def _primitive_root(word):
     return word, 1
 
 
+def _root_form(word):
+    """Canonical cyclic form of a reduced word's primitive root: the one
+    key that a class and its powers share."""
+    root, _ = _primitive_root(word)
+    return curves.canonical_cyclic_form(root).word
+
+
+@functools.cache
+def _class_forms(words):
+    """The set of `_root_form`s of a tuple of words, formed once per tuple:
+    `non_rotating_length` asks for the pants curves' on every call."""
+    return frozenset(_root_form(_normalize_word(w)) for w in words)
+
+
 class HexagonSystem:
     """Pants curves and closed seam curves of a marked genus-2 surface."""
 
@@ -98,14 +113,11 @@ class HexagonSystem:
             for j in range(i + 1, 3):
                 if hyp2.geodesics_link(axes[i], axes[j]):
                     raise CombinatError("pants curves must be disjoint")
-        self._excluded = set()
-        for w in self.pants_words + self.seam_words:
-            self._excluded.add(curves.canonical_cyclic_form(
-                _normalize_word(w)).word)
+        self._excluded = _class_forms(tuple(self.pants_words
+                                            + self.seam_words))
 
     def excludes(self, word):
-        root, _ = _primitive_root(word)
-        return curves.canonical_cyclic_form(root).word in self._excluded
+        return _root_form(word) in self._excluded
 
 
 # --- lifts ---------------------------------------------------------------------
@@ -392,7 +404,7 @@ class _Frame:
                     return self._infinite_specs
         return self.curve_specs
 
-    def lines_through(self, h, p_idx, center=0.0):
+    def lines_through(self, h, p_idx, center):
         """Frame lines of pants-curve lifts crossing the seam lift h.
 
         In the base hexagon, seam s meets pants curves s+1 and s+2 at right
@@ -897,11 +909,8 @@ def non_rotating_length(marked, gamma, rotation):
     word = _normalize_word(gamma)
     # only the words are needed here: the disjointness validation of the
     # full hexagon system cannot run on extremely pinched holonomies
-    pants_words = list(marked.curve_words)
-    root, _ = _primitive_root(word)
-    pants_forms = {curves.canonical_cyclic_form(_normalize_word(w)).word
-                   for w in pants_words}
-    if curves.canonical_cyclic_form(root).word in pants_forms:
+    pants_words = tuple(marked.curve_words)
+    if _root_form(word) in _class_forms(pants_words):
         raise CombinatError("excluded class: pants curve")
     projection = sum(
         rotation[k] * marked.curve_length(pants_words[k - 1])
@@ -928,8 +937,7 @@ def distortion_check(x_surface, y_surface, classes, C,
         if max(s.coords.lengths) > constants.EPS_UNTWISTED_DEFAULT:
             raise CombinatError("surfaces must be pinched below eps")
     decomposition = x_surface.decomposition
-    pants_words = HexagonSystem(
-        surface.reference_surface(decomposition)).pants_words
+    pants_words = surface.reference_surface(decomposition).curve_words
     lx = [x_surface.curve_length(w) for w in pants_words]
     ly = [y_surface.curve_length(w) for w in pants_words]
     log_ratios = [math.log(a) / math.log(b) for a, b in zip(lx, ly)]

@@ -15,12 +15,6 @@ PARABOLIC_BAND = 1e-10    # |tr| within this of 2 is classified parabolic
 SIGN_TRACE_CUTOFF = 1e-9  # |tr| above this: canonical sign forces tr >= 0
 ENDPOINT_TIE_TOL = 1e-12  # boundary-point comparisons closer than this: error
 
-# default / strict tolerance profiles for the CLI
-TOLERANCE_PROFILES = {
-    "default": {"residual": 1e-10, "relative": 1e-9},
-    "strict": {"residual": 1e-12, "relative": 1e-11},
-}
-
 # --- geometry defaults ------------------------------------------------------
 
 DELTA_STAR_DEFAULT = 1.0  # hypercycle calibration length, in (0, 1]

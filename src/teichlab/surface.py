@@ -17,11 +17,12 @@ precision.  Lengths and holonomies leave it as floats; the lift search
 conjugates the 80-digit generators into its axis chart before it rounds
 them.  A build develops one pants geometry per distinct half-length
 triple, so the builtin decomposition's two pants share one, and it skips
-every product with the root pants' placement, the identity.  The float
-views of the pants geometry (axes, feet, seam lines, vertices, X) are
-built with it although only tests read them, and building them raises
-Hyp2Error once a cuff is below about 2e-6, where two float endpoints
-coincide (the bench's known defect 1).
+every product with the root pants' placement, the identity.  The pants
+geometry keeps one float view, its boundary axes, although nothing reads
+them: building them raises Hyp2Error once a cuff is below about 2e-6,
+where two float endpoints coincide (the bench's known defect 1), so
+deleting them changes which surfaces build and the outputs that the
+bench's digests record.
 
 One kernel folds words into traces: `_int_traces` multiplies the
 80-digit letters, which are dyadic rationals, over scaled integers (each
@@ -50,7 +51,7 @@ import mpmath
 from mpmath import libmp
 
 from . import curves, pants
-from .hyp2 import BoundaryPoint, GeodesicLine, IsometryMatrix, PlanePoint
+from .hyp2 import BoundaryPoint, GeodesicLine, IsometryMatrix
 
 _DPS = 80
 
@@ -219,12 +220,6 @@ def _frame_endpoint(f, at_zero):
     return BoundaryPoint(float(num / den))
 
 
-def _frame_base(f):
-    """Image of i under a frame, as a float PlanePoint."""
-    den = f[2] ** 2 + f[3] ** 2
-    return PlanePoint(float((f[0] * f[2] + f[1] * f[3]) / den), float(1 / den))
-
-
 # --- single-pants geometry -----------------------------------------------------
 
 class PantsGeometry:
@@ -240,11 +235,12 @@ class PantsGeometry:
     `build_holonomy` gives pants with one triple the same object.  The
     first frame is the identity, and the development starts from the
     first side's translation, which is the same product bit for bit.  The
-    mpmath internals carry the precision; the float views (axes, feet,
-    seam_lines, vertices, X as IsometryMatrix) are read only by tests, and
-    building the axes raises Hyp2Error ("geodesic needs distinct
-    endpoints") once a cuff is below about 2e-6, where two float
-    endpoints coincide.
+    80-digit frames (`_side_frames`, `_axis_frames`) and boundary matrices
+    (`_X`) are the geometry.  The one float view left is `axes`, the
+    boundary axes: nothing reads it, but building it raises Hyp2Error
+    ("geodesic needs distinct endpoints") once a cuff is below about 2e-6,
+    where two float endpoints coincide, and that error is one of the
+    outputs the bench's digests record.
     """
 
     def __init__(self, half_lengths):
@@ -284,21 +280,9 @@ class PantsGeometry:
             prod = _mul(_mul(self._X[1], self._X[2]), self._X[3])
             if _identity_residual_mp(prod) > 1e-40:
                 raise SurfaceError("boundary holonomies do not compose to 1")
-
-            self.half_lengths = tuple(float(v) for v in a)
-            self.seam_lengths = tuple(float(v) for v in seam)
-            self.vertices = [_frame_base(f) for f in frames]
-            self.X = {k: _to_float_matrix(self._X[k]) for k in (1, 2, 3)}
             self.axes = {k: GeodesicLine(_frame_endpoint(frames[2 * (k - 1)], False),
                                          _frame_endpoint(frames[2 * (k - 1)], True))
                          for k in (1, 2, 3)}
-            self.feet = {k: self.vertices[2 * (k - 1)] for k in (1, 2, 3)}
-            self.seam_lines = {1: self._side_line(3), 2: self._side_line(5),
-                               3: self._side_line(1)}
-
-    def _side_line(self, i):
-        f = self._side_frames[i]
-        return GeodesicLine(_frame_endpoint(f, True), _frame_endpoint(f, False))
 
     def axis_frame(self, k, extra=0.0):
         """mp frame at the marked foot of boundary k, pointing along X_k."""

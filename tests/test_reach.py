@@ -10,10 +10,15 @@ reported whole.  Each rule errs toward passing: a reader that builds a
 name at run time goes unseen, but nothing is reported that live code
 reads.
 
-- A module-level `def` or `class` is reached when live code names it, as
-  a `Name`, an attribute or a string constant (the bench rebinds
-  functions through `getattr`), so two definitions that share a name are
-  reached together.
+- A module-level `def` or `class` is reached only through its own name:
+  when its own module loads the name where no enclosing function, lambda
+  or comprehension binds it, when other live code loads it as an
+  attribute of the module or of a name bound to the module
+  (`surface_mod.x`, `lab.combinat.x`), when live code imports it, or
+  when a string under `tools/` or `bench/` names it (the bench rebinds
+  functions through `getattr`).  A parameter, a local or another
+  object's attribute of the same name does not reach it.
+- A definition nested in a function is reached when live code names it.
 - A method (a non-dunder `def` in a class) is reached only when live code
   reads its name as an attribute, or a string under `tools/` or `bench/`
   names it; a local variable of the same name does not reach it.
@@ -64,6 +69,8 @@ KEPT = {
     "cones.PolyCone.contains": "membership oracle of the cone tests",
     "pants.shorts_side_lengths_subtraction":
         "oracle of hexagon_data's shorts lengths",
+    "pants.seam_lengths": "oracle of the seam-word lengths in "
+                          "test_seam_lengths_against_pants_oracle",
     "cylinder.ratio_residue_check":
         "checks spiral_residue, which `teichlab excursion` prints, across "
         "pinching",
@@ -71,16 +78,16 @@ KEPT = {
 
 # Stored and read only by tests, and kept because building them is part
 # of a live path's outputs, or an open ROADMAP item reads them.
-_FLOAT_VIEW = ("a float view of the pants; building it raises the bench's "
-               "known defect 1 below a cuff of about 2e-6, so deleting it "
-               "changes outputs; ROADMAP item 4 deletes it when the bench "
-               "digests are re-recorded")
 _ROTATION = "per-class rotation record that ROADMAP items 1 and 10 read"
 KEPT_STATE = {
-    "surface.PantsGeometry.X": _FLOAT_VIEW,
-    "surface.PantsGeometry.axes": _FLOAT_VIEW,
-    "surface.PantsGeometry.feet": _FLOAT_VIEW,
-    "surface.PantsGeometry.seam_lines": _FLOAT_VIEW,
+    "surface.PantsGeometry.axes":
+        "the pants' one float view; building it raises the bench's known "
+        "defect 1 below a cuff of about 2e-6, so deleting it changes "
+        "outputs; ROADMAP item 4 deletes it when the bench digests are "
+        "re-recorded",
+    "surface.PantsGeometry._side_frames":
+        "the 80-digit hexagon sides, which the pants-geometry tests check "
+        "and ROADMAP item 1's wall walk numbers its sides by",
     "combinat.RotationData.crossing_flags": _ROTATION,
     "combinat.RotationData.internal_words": _ROTATION,
     "combinat.RotationData.leftover_pairs": _ROTATION,
@@ -99,32 +106,97 @@ KEPT_PARAMS = {
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = _FUNCS + (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
+                    ast.GeneratorExp)
+
+
+def _bound(scope):
+    """Names a function, lambda or comprehension binds: its parameters or
+    loop targets, and what its own body stores, defines or imports, less
+    what it declares global or nonlocal."""
+    if isinstance(scope, _FUNCS + (ast.Lambda,)):
+        a = scope.args
+        names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                 + [a.vararg, a.kwarg] if p}
+        stack = ([scope.body] if isinstance(scope, ast.Lambda)
+                 else list(scope.body))
+    else:
+        names, stack = set(), [g.target for g in scope.generators]
+    declared = set()
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.alias):
+            names.add(n.asname or n.name.split(".")[0])
+        elif isinstance(n, ast.ExceptHandler) and n.name:
+            names.add(n.name)
+        elif isinstance(n, (ast.Global, ast.Nonlocal)):
+            declared.update(n.names)
+        if isinstance(n, _DEFS):
+            names.add(n.name)
+        elif not isinstance(n, _SCOPES):
+            stack.extend(ast.iter_child_nodes(n))
+    return names - declared
+
+
+def _modules(tree, stems):
+    """Names a file can reach a package module through: each module's own
+    name, and the aliases its imports bind to one."""
+    out = {stem: stem for stem in stems}
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            for a in n.names:
+                stem = a.name.split(".")[-1]
+                if a.asname and stem in stems:
+                    out[a.asname] = stem
+    return out
 
 
 class _Reads:
     """What a node reads: every identifier it names, the attributes it
-    loads, the names given to `getattr`, its string constants and its
-    calls as (callee, positional count, keywords, *args, **kwargs).
-    Nested definitions are left to their own entries unless `whole`."""
+    loads, the names given to `getattr`, its string constants, its calls
+    as (callee, positional count, keywords, *args, **kwargs), and the
+    module-level definitions it refers to as "module.name".
 
-    def __init__(self, node, whole=False):
+    A reference is a `Name` load in `module` that neither `bound` (the
+    names of the enclosing scopes) nor a scope inside the node binds, an
+    attribute loaded from a name in `modules` (see `_modules`), or a name
+    imported from a package module.  Nested definitions are left to their
+    own entries unless `whole`."""
+
+    def __init__(self, node, whole=False, module=None, bound=frozenset(),
+                 modules=None):
+        modules = modules or {}
         self.idents, self.loads, self.getattrs = set(), set(), set()
-        self.strings, self.calls = set(), []
-        stack = [node]
+        self.strings, self.calls, self.refs = set(), [], set()
+        stack = [(node, bound)]
         while stack:
-            n = stack.pop()
+            n, b = stack.pop()
+            if isinstance(n, _SCOPES):
+                b = b | _bound(n)
             if isinstance(n, ast.Name):
                 self.idents.add(n.id)
+                if module and isinstance(n.ctx, ast.Load) and n.id not in b:
+                    self.refs.add(module + "." + n.id)
             elif isinstance(n, ast.Attribute):
                 self.idents.add(n.attr)
                 if isinstance(n.ctx, ast.Load):
                     self.loads.add(n.attr)
+                    base = getattr(n.value, "id", getattr(n.value, "attr",
+                                                          None))
+                    if base in modules:
+                        self.refs.add(modules[base] + "." + n.attr)
+            elif isinstance(n, ast.ImportFrom) and n.module:
+                stem = n.module.split(".")[-1]
+                if stem in modules.values():
+                    self.refs.update(stem + "." + a.name for a in n.names)
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 self.strings.update(
                     p for p in n.value.split(".") if p.isidentifier())
             elif isinstance(n, ast.Call):
                 self._call(n)
-            stack.extend(c for c in ast.iter_child_nodes(n)
+            stack.extend((c, b) for c in ast.iter_child_nodes(n)
                          if whole or not isinstance(c, _DEFS))
         self.idents |= self.strings
 
@@ -150,13 +222,19 @@ def _decorators(node):
 
 
 class _Definition:
-    def __init__(self, qualname, node, parent):
+    def __init__(self, qualname, node, parent, modules):
         self.qualname = qualname
         self.name = node.name
         self.node = node
         self.parent = parent
         self.in_class = isinstance(getattr(parent, "node", None), ast.ClassDef)
-        self.reads = _Reads(node)
+        bound, d = set(), parent
+        while d is not None:
+            if isinstance(d.node, _FUNCS):
+                bound |= _bound(d.node)
+            d = d.parent
+        self.reads = _Reads(node, module=qualname.split(".")[0], bound=bound,
+                            modules=modules)
         if "classmethod" in _decorators(node) and self.in_class:
             # cls(...) in a classmethod calls its class's __init__
             self.reads.calls = [(parent.name if c[0] == "cls" else c[0],)
@@ -178,12 +256,12 @@ class _Definition:
         return False
 
 
-def _collect(node, prefix, parent, defs):
+def _collect(node, prefix, parent, defs, modules):
     for child in ast.iter_child_nodes(node):
         if isinstance(child, _DEFS):
-            d = _Definition(prefix + child.name, child, parent)
+            d = _Definition(prefix + child.name, child, parent, modules)
             defs.append(d)
-            _collect(child, d.qualname + ".", d, defs)
+            _collect(child, d.qualname + ".", d, defs, modules)
 
 
 def _stored(cls):
@@ -233,17 +311,21 @@ def analyse(package, outside, kept):
     """
     defs, live = [], []
     for stem, tree in sorted(package.items()):
-        live.append(_Reads(tree))
-        _collect(tree, stem + ".", None, defs)
-    extern = [_Reads(tree, whole=True) for tree in outside]
+        modules = _modules(tree, package)
+        live.append(_Reads(tree, module=stem, modules=modules))
+        _collect(tree, stem + ".", None, defs, modules)
+    extern = [_Reads(tree, whole=True, modules=_modules(tree, package))
+              for tree in outside]
     named = set().union(*(r.strings for r in extern))
     idents = set().union(*(r.idents for r in live + extern))
     attrs = set().union(*(r.loads for r in live + extern))
+    refs = set().union(*(r.refs for r in live + extern))
 
     reached = {d for d in defs if d.qualname in kept}
     for d in reached:
         idents |= d.reads.idents
         attrs |= d.reads.loads
+        refs |= d.reads.refs
     grew = True
     while grew:
         grew = False
@@ -252,6 +334,8 @@ def analyse(package, outside, kept):
                 continue
             if d.method:
                 hit = d.name in attrs or d.name in named
+            elif d.parent is None:
+                hit = d.qualname in refs or d.name in named
             else:
                 hit = (d.name.startswith("__") and d.name.endswith("__")
                        or d.name in idents)
@@ -259,6 +343,7 @@ def analyse(package, outside, kept):
                 reached.add(d)
                 idents |= d.reads.idents
                 attrs |= d.reads.loads
+                refs |= d.reads.refs
                 grew = True
     unreached = [d.qualname for d in defs if d not in reached
                  and (d.parent is None or d.parent in reached)]
@@ -370,19 +455,46 @@ class Box:
 def measure(box, label=None):
     if label is None:
         label = box.volume()
-    return label, getattr(box, "tag")
+    return label, getattr(box, "tag"), [area for area in (box.size,)]
+
+
+def scale(box):
+    return box
+
+
+def volume(box):
+    return box.size
+
+
+def area(box):
+    return box.size ** 2
 
 
 print(measure(Box.unit(), 2), Box(2, tag="t"))
 '''
 
+# imports one definition of the sample and reads another as an attribute
+_OTHER = '''
+from . import sample as box_mod
+from .sample import area
+
+print(area(box_mod.Box(3)), box_mod.volume)
+'''
+
 
 def test_each_rule_reports_what_only_tests_read():
-    # `label` is reached only through a local variable, `spare` is never
-    # loaded and no call sets `spin`; `scale` is set by cls(1, 1), `tag`
-    # by keyword and read through getattr
+    # the method `label` is reached only through a local variable; the
+    # functions `scale`, `volume` and `area` only through a parameter, a
+    # method and a comprehension variable of their names, until another
+    # module imports `area` and reads `volume` as the module's attribute;
+    # `spare` is never loaded and no call sets `spin`; `scale` is set by
+    # cls(1, 1), `tag` by keyword and read through getattr
     unreached, unread, unsupplied = analyse(
         {"sample": ast.parse(_SAMPLE)}, [], {})
-    assert unreached == ["sample.Box.label"]
+    assert unreached == ["sample.Box.label", "sample.scale",
+                         "sample.volume", "sample.area"]
+    unreached, _, _ = analyse(
+        {"sample": ast.parse(_SAMPLE), "other": ast.parse(_OTHER)}, [], {})
+    assert unreached == ["sample.Box.label", "sample.scale"]
     assert unread == ["sample.Box.spare"]
     assert unsupplied == ["sample.Box.__init__(spin)"]

@@ -19,13 +19,6 @@ def builtin_surface(lengths, twists=None):
                           FNCoordinates(lengths, twists))
 
 
-def close(p, q, tol):
-    """Boundary points within tol, relative to the larger magnitude."""
-    if p.is_infinity or q.is_infinity:
-        return p.is_infinity and q.is_infinity
-    return abs(p.value - q.value) <= tol * max(1.0, abs(p.value), abs(q.value))
-
-
 # --- decomposition combinatorics ---------------------------------------------
 
 def test_builtin_counts():
@@ -76,48 +69,87 @@ def test_fn_coordinates_validation():
 
 
 # --- single-pants geometry -----------------------------------------------------
+# These read the 80-digit frames and boundary matrices at 160 digits, so
+# the tests' own arithmetic adds nothing at the bounds asserted.
+
+def _relative(f, h):
+    # f^-1 h
+    return surface._mul(surface._inv(f), h)
+
+
+def _conjugate(f, m):
+    # f^-1 m f
+    return surface._mul(_relative(f, m), f)
+
+
+def _side_lengths(g):
+    """Lengths of the hexagon's sides alpha1, zeta3', alpha2, zeta1',
+    alpha3, zeta2': side i runs from the corner that `_side_frames[i]`
+    maps i to, to the next frame's corner (the last side to the first
+    corner), and cosh d(f(i), h(i)) is half the squared Frobenius norm of
+    f^-1 h."""
+    frames = g._side_frames + g._side_frames[:1]
+    with mpmath.workdps(160):
+        return [mpmath.acosh(sum(x * x for x in _relative(f, h)) / 2)
+                for f, h in zip(frames, frames[1:])]
+
 
 def test_pants_geometry_boundary_product_is_identity():
     g = surface.PantsGeometry((0.6, 0.8, 1.1))
-    prod = g.X[1] @ g.X[2] @ g.X[3]
-    assert prod.approx_eq(hyp2.IsometryMatrix.identity(), tol=1e-12)
+    with mpmath.workdps(160):
+        prod = surface._mul(surface._mul(g._X[1], g._X[2]), g._X[3])
+        assert surface._identity_residual_mp(prod) < 1e-70
 
 
 def test_pants_geometry_boundary_lengths():
-    g = surface.PantsGeometry((0.3, 0.45, 0.62))
-    for k, a in zip((1, 2, 3), (0.3, 0.45, 0.62)):
-        tl = hyp2.translation_length(g.X[k])
-        assert tl.kind == "hyperbolic"
-        assert abs(tl.length - 2 * a) < 1e-11
+    # side frame 2(k - 1) carries the imaginary axis onto boundary k's
+    # axis, so it conjugates X_k to the translation by -2 a_k along it
+    halves = (0.3, 0.45, 0.62)
+    g = surface.PantsGeometry(halves)
+    with mpmath.workdps(160):
+        for k, a in zip((1, 2, 3), halves):
+            m = _conjugate(g._side_frames[2 * (k - 1)], g._X[k])
+            e = mpmath.exp(mpmath.mpf(a))
+            assert max(abs(m[0] - 1 / e), abs(m[1]), abs(m[2]),
+                       abs(m[3] - e)) < 1e-70
 
 
 def test_pants_geometry_feet_on_axes():
-    g = surface.PantsGeometry((0.6, 0.8, 1.1))
-    assert g.vertices[0].x == pytest.approx(0.0, abs=1e-15)
-    assert g.vertices[0].y == pytest.approx(1.0, abs=1e-15)
-    for k in (1, 2, 3):
-        assert abs(hyp2.distance_to_line(g.axes[k], g.feet[k])) < 1e-12
-        ax = hyp2.axis_endpoints(g.X[k])
-        assert close(ax.start, g.axes[k].start, 1e-9)
-        assert close(ax.end, g.axes[k].end, 1e-9)
+    # the first frame is the identity, so the first foot is i; boundary
+    # k's axis frame sits at its foot, the corner that side frame 2(k - 1)
+    # maps i to, and conjugates X_k to the translation by +2 a_k
+    halves = (0.6, 0.8, 1.1)
+    g = surface.PantsGeometry(halves)
+    assert g._side_frames[0] is surface._MP_ID
+    with mpmath.workdps(160):
+        for k, a in zip((1, 2, 3), halves):
+            # a matrix (p, q, r, s) fixes i exactly when p = s and q = -r
+            n = _relative(g._axis_frames[k], g._side_frames[2 * (k - 1)])
+            assert max(abs(n[0] - n[3]), abs(n[1] + n[2])) < 1e-70
+            m = _conjugate(g._axis_frames[k], g._X[k])
+            e = mpmath.exp(mpmath.mpf(a))
+            assert max(abs(m[0] - e), abs(m[1]), abs(m[2]),
+                       abs(m[3] - 1 / e)) < 1e-70
 
 
 def test_pants_geometry_seam_lengths_match_float_oracle():
-    shape = pants.PantsShape(0.25, 0.4, 0.55)
-    expected = pants.seam_lengths(shape)
-    g = surface.PantsGeometry((0.25, 0.4, 0.55))
-    for got, want in zip(g.seam_lengths, expected):
-        assert abs(got - want) < 1e-12
+    # seam j is side 2j + 1 (mod 6) of the developed hexagon
+    halves = (0.25, 0.4, 0.55)
+    sides = _side_lengths(surface.PantsGeometry(halves))
+    expected = pants.seam_lengths(pants.PantsShape(*halves))
+    for j, want in enumerate(expected, start=1):
+        assert abs(float(sides[(2 * j + 1) % 6]) - want) < 1e-12
 
 
 def test_pants_geometry_seam_lengths_match_hexagon_law():
     # cosh c_1' = (cosh a1 + cosh a2 cosh a3) / (sinh a2 sinh a3), evaluated
-    # at 80 digits without the shared pentagon-split kernel
+    # at 80 digits without the shared pentagon-split kernel; the developed
+    # hexagon's sides have these seam lengths and the half-lengths
     rng = random.Random(417)
     for _ in range(30):
         halves = [math.exp(rng.uniform(math.log(1e-5), math.log(10.0)))
                   for _ in range(3)]
-        g = surface.PantsGeometry(halves)
+        sides = _side_lengths(surface.PantsGeometry(halves))
         with mpmath.workdps(80):
             a = [mpmath.mpf(v) for v in halves]
             for i in range(3):
@@ -127,7 +159,9 @@ def test_pants_geometry_seam_lengths_match_hexagon_law():
                     / (mpmath.sinh(a2) * mpmath.sinh(a3)))
                 _, ck, cl = pants._seam_split(a1, a2, a3, mpmath)
                 assert abs(ck + cl - law) <= mpmath.mpf(10) ** -70 * law
-                assert abs(g.seam_lengths[i] - float(law)) <= 2.0 ** -52 * law
+                assert abs(sides[(2 * i + 3) % 6] - law) <= (
+                    mpmath.mpf(10) ** -60 * law)
+                assert abs(sides[2 * i] - a1) <= mpmath.mpf(10) ** -55 * a1
 
 
 def test_pants_geometry_rejects_nonpositive():
@@ -165,13 +199,18 @@ def test_seam_lengths_against_pants_oracle():
 def test_seams_close_up_at_zero_twist():
     lengths = [0.8, 1.0, 1.3]
     s = builtin_surface(lengths)
-    # the root pants sits at the identity, so its seams are the surface's
+    # the root pants sits at the identity, so its seams are the surface's:
+    # seam j's side frame conjugates the holonomy of seam word j to a
+    # translation along the imaginary axis by twice the seam's length
     root = surface.PantsGeometry([v / 2 for v in lengths])
-    for j, w in enumerate(s.seam_words):
-        ax = hyp2.axis_endpoints(s.holonomy(w))
-        line = root.seam_lines[j + 1]
-        assert close(ax.start, line.start, 1e-9)
-        assert close(ax.end, line.end, 1e-9)
+    sides = _side_lengths(root)
+    with mpmath.workdps(160):
+        for j, w in enumerate(s.seam_words, start=1):
+            side = (2 * j + 1) % 6
+            m = _conjugate(root._side_frames[side], s._mp_holonomy(w))
+            big = max(abs(m[0]), abs(m[3]))
+            assert max(abs(m[1]), abs(m[2])) < 1e-70 * big
+            assert abs(big - mpmath.exp(sides[side])) < 1e-70 * big
 
 
 def test_nonzero_twist_changes_seam_lengths():
