@@ -44,9 +44,9 @@ class _Reporter:
         if self.out_dir is None:
             self.lines.append(text)
             return
-        os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, name)
         try:
+            os.makedirs(self.out_dir, exist_ok=True)
             with open(path, "w") as fh:
                 fh.write(text)
         except OSError as ex:
@@ -154,10 +154,10 @@ def cmd_nonrot(args, rep):
 def cmd_distortion(args, rep):
     x = _build(args.x_lengths)
     y = _build(args.y_lengths)
-    classes = curves.enumerate_conj_classes(2, args.max_word_len)
-    system = combinat.HexagonSystem(
-        surface_mod.reference_surface(x.decomposition))
-    classes = [c for c in classes if not system.excludes(c.word)]
+    reference = surface_mod.reference_surface(x.decomposition)
+    classes = [c for c in curves.enumerate_conj_classes(2, args.max_word_len)
+               if not combinat.system_excludes(reference.curve_words,
+                                               reference.seam_words, c.word)]
     rows = combinat.distortion_check(x, y, classes, args.C,
                                      search_depth=args.depth)
     text = combinat.DISTORTION_CSV_HEADER + "\n" + "\n".join(
@@ -174,21 +174,23 @@ def cmd_distortion(args, rep):
 
 def _noisy_spec_from_config(cfg):
     try:
-        base = cfg["base_log_lengths"]
+        base = [float(v) for v in cfg["base_log_lengths"]]
         horizon = float(cfg["T"])
         stretched = int(cfg["stretched_index"])
         seed = int(cfg["seed"])
+        d_const = float(cfg.get("D", 5.0))
     except KeyError as ex:
         raise UsageError("config missing knob %s" % ex)
-    d_const = float(cfg.get("D", 5.0))
+    except TypeError:
+        raise UsageError("config must be an object of number knobs, "
+                         "base_log_lengths a list of them") from None
     return thurston.random_noisy_spec(base, horizon, stretched, D=d_const,
-                                      seed=seed)
+                                      seed=seed), seed
 
 
 def cmd_thurston_verify_noisy(args, rep):
-    cfg = _load_json(args.config)
-    spec = _noisy_spec_from_config(cfg)
-    rng = random.Random(int(cfg["seed"]) + 2)
+    spec, seed = _noisy_spec_from_config(_load_json(args.config))
+    rng = random.Random(seed + 2)
     pairs = []
     for _ in range(args.pairs):
         t1 = rng.uniform(0.0, spec.T * 0.9)
@@ -273,9 +275,10 @@ def cmd_thurston_asymmetry(args, rep):
 
 def cmd_cones_verify(args, rep):
     data = _load_json(args.spec)
-    if "rows" not in data:
-        raise UsageError("cone spec JSON needs a \"rows\" matrix")
-    rows = [[args.scale * float(v) for v in row] for row in data["rows"]]
+    try:
+        rows = [[args.scale * float(v) for v in row] for row in data["rows"]]
+    except (KeyError, TypeError):
+        raise UsageError("cone spec JSON needs a \"rows\" matrix") from None
     spec = cones.ConeSpecL(rows)
     cone = cones.cone_over_hull(spec)
     if not cone.interior_ones:
@@ -304,9 +307,11 @@ def cmd_cones_verify(args, rep):
 
 def cmd_cones_designer(args, rep):
     data = _load_json(args.spec)
-    if "vertices" not in data:
-        raise UsageError("designer spec JSON needs a \"vertices\" list")
-    cone = cones.cone_over_hull(data["vertices"])
+    try:
+        vertices = [[float(v) for v in row] for row in data["vertices"]]
+    except (KeyError, TypeError):
+        raise UsageError("designer spec JSON needs a \"vertices\" list") from None
+    cone = cones.cone_over_hull(vertices)
     if not cone.interior_ones:
         raise UsageError("hypothesis violated: (1, ..., 1) must be "
                          "interior to the cone")

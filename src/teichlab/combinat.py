@@ -20,8 +20,6 @@ import functools
 import math
 import sys
 
-import mpmath
-
 from . import constants, curves, hyp2, surface
 from .hyp2 import BoundaryPoint, GeodesicLine
 
@@ -92,6 +90,12 @@ def _class_forms(words):
     return frozenset(_root_form(_normalize_word(w)) for w in words)
 
 
+def system_excludes(pants_words, seam_words, word):
+    """Whether a reduced word is a power of one of the hexagon system's
+    pants curves or seam curves, up to cyclic order."""
+    return _root_form(word) in _class_forms((*pants_words, *seam_words))
+
+
 class HexagonSystem:
     """Pants curves and closed seam curves of a marked genus-2 surface."""
 
@@ -113,11 +117,9 @@ class HexagonSystem:
             for j in range(i + 1, 3):
                 if hyp2.geodesics_link(axes[i], axes[j]):
                     raise CombinatError("pants curves must be disjoint")
-        self._excluded = _class_forms(tuple(self.pants_words
-                                            + self.seam_words))
 
     def excludes(self, word):
-        return _root_form(word) in self._excluded
+        return system_excludes(self.pants_words, self.seam_words, word)
 
 
 # --- lifts ---------------------------------------------------------------------
@@ -269,44 +271,44 @@ class _Frame:
     def __init__(self, marked, word):
         self.marked = marked
         self.word = word
-        with mpmath.workdps(surface._DPS):
-            holonomy = marked._mp_holonomy(word)
-            tl = hyp2.translation_length(surface._to_float_matrix(holonomy))
-            if tl.kind != "hyperbolic":
-                raise CombinatError("class is not a closed geodesic: image "
-                                    "is %s" % tl.kind)
-            self.period = tl.length
-            self.system = HexagonSystem(marked)
-            rep, att = hyp2.fixed_points(*holonomy, mpmath.sqrt)
-            if rep is None or att is None:
-                if att is None:
-                    frame = (mpmath.mpf(1), rep, mpmath.mpf(0), mpmath.mpf(1))
-                else:
-                    frame = (att, mpmath.mpf(-1), mpmath.mpf(1), mpmath.mpf(0))
-            elif att > rep:
-                frame = (att, rep, mpmath.mpf(1), mpmath.mpf(1))
+        holonomy = marked._mp_holonomy(word)
+        tl = hyp2.translation_length(surface._to_float_matrix(holonomy))
+        if tl.kind != "hyperbolic":
+            raise CombinatError("class is not a closed geodesic: image "
+                                "is %s" % tl.kind)
+        self.period = tl.length
+        self.system = HexagonSystem(marked)
+        rep, att = hyp2.fixed_points(*holonomy, surface._mp.sqrt)
+        one, zero = surface._mp.mpf(1), surface._mp.mpf(0)
+        if rep is None or att is None:
+            if att is None:
+                frame = (one, rep, zero, one)
             else:
-                frame = (att, -rep, mpmath.mpf(1), mpmath.mpf(-1))
-            from_axis = surface._inv(frame)
-            self._mp_from_axis = from_axis
-            self.gens = {
-                letter: surface._to_float_matrix(surface._mul(
-                    surface._mul(from_axis, g), frame)).entries()
-                for letter, g in marked._mp_letters.items()}
-            self._mp_seam = {}
-            self._mp_spec_ends = {}
-            self.curve_specs = []
-            for family, words in (("P", marked.curve_words),
-                                  ("H", marked.seam_words)):
-                for idx, w in enumerate(words, start=1):
-                    curve = marked._mp_holonomy(w)
-                    if family == "H":
-                        self._mp_seam[idx] = curve
-                    ends = hyp2.fixed_points(*curve, mpmath.sqrt)
-                    self._mp_spec_ends[(idx, family)] = ends
-                    rep, att = (None if v is None else float(v) for v in (
-                        _mobius(from_axis, e) for e in ends))
-                    self.curve_specs.append((idx, family, rep, att))
+                frame = (att, -one, one, zero)
+        elif att > rep:
+            frame = (att, rep, one, one)
+        else:
+            frame = (att, -rep, one, -one)
+        from_axis = surface._inv(frame)
+        self._mp_from_axis = from_axis
+        self.gens = {
+            letter: surface._to_float_matrix(surface._mul(
+                surface._mul(from_axis, g), frame)).entries()
+            for letter, g in marked._mp_letters.items()}
+        self._mp_seam = {}
+        self._mp_spec_ends = {}
+        self.curve_specs = []
+        for family, words in (("P", marked.curve_words),
+                              ("H", marked.seam_words)):
+            for idx, w in enumerate(words, start=1):
+                curve = marked._mp_holonomy(w)
+                if family == "H":
+                    self._mp_seam[idx] = curve
+                ends = hyp2.fixed_points(*curve, surface._mp.sqrt)
+                self._mp_spec_ends[(idx, family)] = ends
+                rep, att = (None if v is None else float(v) for v in (
+                    _mobius(from_axis, e) for e in ends))
+                self.curve_specs.append((idx, family, rep, att))
         self._infinite_specs = [s for s in self.curve_specs
                                 if s[2] is None or s[3] is None]
         self._finite_ends = sorted(
@@ -314,24 +316,22 @@ class _Frame:
 
     def mp_carry(self, path):
         """The 80-digit chart map times the holonomy of the word `path`."""
-        with mpmath.workdps(surface._DPS):
-            m = self._mp_from_axis
-            for letter in path:
-                m = surface._mul(m, self.marked._mp_letters[letter])
-            return m
+        m = self._mp_from_axis
+        for letter in path:
+            m = surface._mul(m, self.marked._mp_letters[letter])
+        return m
 
     def refine_endpoints(self, path, spec):
         """High-precision frame endpoints (rep, att) of a lift, or None."""
-        with mpmath.workdps(surface._DPS):
-            m = self.mp_carry(path)
-            rep_b, att_b = self._mp_spec_ends[(spec[0], spec[1])]
-            rep = _mobius(m, rep_b)
-            att = _mobius(m, att_b)
-            if rep is None or att is None or rep == 0 or att == 0:
-                return None
-            if (rep > 0) == (att > 0):
-                return None
-            return float(rep), float(att)
+        m = self.mp_carry(path)
+        rep_b, att_b = self._mp_spec_ends[(spec[0], spec[1])]
+        rep = _mobius(m, rep_b)
+        att = _mobius(m, att_b)
+        if rep is None or att is None or rep == 0 or att == 0:
+            return None
+        if (rep > 0) == (att > 0):
+            return None
+        return float(rep), float(att)
 
     def lift_of(self, m, spec):
         """Lift of a base axis carried by m, if it links the frame axis.
@@ -422,37 +422,36 @@ class _Frame:
         scale = math.exp(h.shift - center)
         h_line = h.shifted(-center).line()
         out = []
-        with mpmath.workdps(surface._DPS):
-            base = self.mp_carry(h.path)
-            nu = self._mp_seam[h.curve]
-            nu_inv = surface._inv(nu)
-            rep_b, att_b = self._mp_spec_ends[(p_idx, "P")]
-            for direction in (1, -1):
-                cur = base if direction == 1 else surface._mul(base, nu_inv)
-                step = nu if direction == 1 else nu_inv
-                misses, steps = 0, 0
-                while misses < _CENSUS_MISSES and steps <= _CENSUS_STEPS:
-                    hit = False
-                    rep = _mobius(cur, rep_b)
-                    att = _mobius(cur, att_b)
-                    if rep is not None and att is not None and rep != att:
-                        rep_f = float(rep) * scale
-                        att_f = float(att) * scale
-                        if math.isfinite(rep_f) and math.isfinite(att_f) \
-                                and rep_f != att_f:
-                            try:
-                                line = GeodesicLine(BoundaryPoint(rep_f),
-                                                    BoundaryPoint(att_f))
-                                hit = hyp2.geodesics_link(line, h_line)
-                            except hyp2.Hyp2Error:
-                                hit = False
-                    if hit:
-                        out.append(line)
-                        misses = 0
-                    else:
-                        misses += 1
-                    cur = surface._mul(cur, step)
-                    steps += 1
+        base = self.mp_carry(h.path)
+        nu = self._mp_seam[h.curve]
+        nu_inv = surface._inv(nu)
+        rep_b, att_b = self._mp_spec_ends[(p_idx, "P")]
+        for direction in (1, -1):
+            cur = base if direction == 1 else surface._mul(base, nu_inv)
+            step = nu if direction == 1 else nu_inv
+            misses, steps = 0, 0
+            while misses < _CENSUS_MISSES and steps <= _CENSUS_STEPS:
+                hit = False
+                rep = _mobius(cur, rep_b)
+                att = _mobius(cur, att_b)
+                if rep is not None and att is not None and rep != att:
+                    rep_f = float(rep) * scale
+                    att_f = float(att) * scale
+                    if math.isfinite(rep_f) and math.isfinite(att_f) \
+                            and rep_f != att_f:
+                        try:
+                            line = GeodesicLine(BoundaryPoint(rep_f),
+                                                BoundaryPoint(att_f))
+                            hit = hyp2.geodesics_link(line, h_line)
+                        except hyp2.Hyp2Error:
+                            hit = False
+                if hit:
+                    out.append(line)
+                    misses = 0
+                else:
+                    misses += 1
+                cur = surface._mul(cur, step)
+                steps += 1
         return out
 
 

@@ -200,7 +200,7 @@ def cone_over_hull(L):
         rows = [tuple(float(v) for v in row) for row in L]
         if any(v <= 0.0 for row in rows for v in row):
             raise ConesError("rows must be strictly positive directions")
-    n = len(rows[0])
+    n = len(rows[0]) if rows else 0
     if n < 2:
         raise ConesError("a cone needs at least 2 factors")
     units = [_unit(r) for r in rows]

@@ -96,8 +96,8 @@ def _seam_split(a1, a2, a3, m):
 
     Returns (a_K, c_K', c_L'): a_K is the piece of boundary 1 facing
     boundary 2, and c_K', c_L' are the seam pieces on either side of the
-    splitting perpendicular.  `m` is `math` for floats or `mpmath` for
-    extended precision.  The pentagon elimination gives
+    splitting perpendicular.  `m` is `math` for floats or the 80-digit
+    mpmath context `surface._mp`.  The pentagon elimination gives
     tanh a_K = sinh a1 cosh a2 / (cosh a3 + cosh a1 cosh a2); as
     a_K = 1/2 log1p(2 sinh a1 cosh a2 / (cosh a3 + e^-a1 cosh a2)) every
     term is positive, so it keeps full precision for small and large a1.

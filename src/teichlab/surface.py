@@ -13,16 +13,18 @@ Matrix entries of the representation grow like exp(2 * seam length), and
 recovering a translation length ~1e-4 from the trace of such a matrix
 cancels ~exp(4 * seam length) worth of digits.  Double precision cannot
 survive that for short cuffs, so the holonomy core runs in mpmath extended
-precision.  Lengths and holonomies leave it as floats; the lift search
-conjugates the 80-digit generators into its axis chart before it rounds
-them.  A build develops one pants geometry per distinct half-length
-triple, so the builtin decomposition's two pants share one, and it skips
-every product with the root pants' placement, the identity.  The pants
-geometry keeps one float view, its boundary axes, although nothing reads
-them: building them raises Hyp2Error once a cuff is below about 2e-6,
-where two float endpoints coincide (the bench's known defect 1), so
-deleting them changes which surfaces build and the outputs that the
-bench's digests record.
+precision, 80 digits in the private context `_mp`: an mpf computes in
+its left operand's context, so no result reads mpmath's global precision,
+which another caller or thread may change.  Lengths and holonomies leave
+it as floats; the lift search conjugates the 80-digit generators into its
+axis chart before it rounds them.  A build develops one pants geometry
+per distinct half-length triple, so the builtin decomposition's two
+pants share one, and it skips every product with the root pants'
+placement, the identity.  The pants geometry keeps one float view, its
+boundary axes, although nothing reads them: building them raises
+Hyp2Error once a cuff is below about 2e-6, where two float endpoints
+coincide (the bench's known defect 1), so deleting them changes which
+surfaces build and the outputs that the bench's digests record.
 
 One kernel folds words into traces: `_int_traces` multiplies the
 80-digit letters, which are dyadic rationals, over scaled integers (each
@@ -37,11 +39,11 @@ The exact length is never a midpoint, and the enclosure shrinks with the
 bits, so the refolds end.  The CLI, the cone checks, the distortion
 bounds and the ratio certificates read these lengths; the certificates'
 and the cone check's screens read float estimates of the same fold
-(`length_estimates`).  `build_holonomy` takes exp, cos and sin from
-mpmath, and its 2x2 products and inverses (`_mul`, `_inv`, which the lift
+(`length_estimates`).  `build_holonomy` takes exp, cos and sin from `_mp`,
+and its 2x2 products and inverses (`_mul`, `_inv`, which the lift
 search's 80-digit steps use too) call `mpmath.libmp` on the entries' raw
-tuples with the context's precision and rounding: the same numbers as
-the mpf operators, without their dispatch.
+tuples with `_mp`'s precision and rounding: the same numbers as its mpf
+operators, without their dispatch.
 """
 
 import functools
@@ -54,6 +56,8 @@ from . import curves, pants
 from .hyp2 import BoundaryPoint, GeodesicLine, IsometryMatrix
 
 _DPS = 80
+_mp = mpmath.MPContext()
+_mp.dps = _DPS
 
 
 class SurfaceError(ValueError):
@@ -143,14 +147,14 @@ class FNCoordinates:
 
 # --- extended-precision 2x2 helpers -------------------------------------------
 
-# The kernel calls libmp on the entries' _mpf_ tuples with the context's
-# (prec, rounding), as the mpf operators do, so each entry is the one the
+# The kernel calls libmp on the entries' _mpf_ tuples with `_mp`'s (prec,
+# rounding), as its mpf operators do, so each entry is the one the
 # operator expression in its comment gives, without the operator layer.
 
 def _mul(m, n):
     # (m0 n0 + m1 n2, m0 n1 + m1 n3, m2 n0 + m3 n2, m2 n1 + m3 n3)
-    prec, rnd = mpmath.mp._prec_rounding
-    mul, add, make = libmp.mpf_mul, libmp.mpf_add, mpmath.mp.make_mpf
+    prec, rnd = _mp._prec_rounding
+    mul, add, make = libmp.mpf_mul, libmp.mpf_add, _mp.make_mpf
     a0, a1, a2, a3 = [x._mpf_ for x in m]
     b0, b1, b2, b3 = [x._mpf_ for x in n]
     return (
@@ -162,9 +166,9 @@ def _mul(m, n):
 
 def _inv(m):
     # det = m0 m3 - m1 m2; (m3 / det, -m1 / det, -m2 / det, m0 / det)
-    prec, rnd = mpmath.mp._prec_rounding
+    prec, rnd = _mp._prec_rounding
     mul, div, neg = libmp.mpf_mul, libmp.mpf_div, libmp.mpf_neg
-    make = mpmath.mp.make_mpf
+    make = _mp.make_mpf
     a0, a1, a2, a3 = [x._mpf_ for x in m]
     det = libmp.mpf_sub(mul(a0, a3, prec, rnd), mul(a1, a2, prec, rnd),
                         prec, rnd)
@@ -175,29 +179,23 @@ def _inv(m):
 
 
 def _trans(length):
-    e = mpmath.exp(length / 2)
-    return (e, mpmath.mpf(0), mpmath.mpf(0), 1 / e)
+    e = _mp.exp(length / 2)
+    return (e, _mp.mpf(0), _mp.mpf(0), 1 / e)
 
 
 def _rot(theta):
-    c, s = mpmath.cos(theta / 2), mpmath.sin(theta / 2)
+    c, s = _mp.cos(theta / 2), _mp.sin(theta / 2)
     return (c, s, -s, c)
 
 
-@functools.cache
-def _turns(prec):
-    """Rotations by pi/2 and by pi, the only angles the frames turn by;
-    built once per working precision (`prec` bits), on first use."""
-    return _rot(mpmath.pi / 2), _rot(mpmath.pi)
-
-
-_MP_ID = (mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1))
+# rotations by pi/2 and by pi, the only angles the frames turn by
+_QUARTER_TURN, _HALF_TURN = _rot(_mp.pi / 2), _rot(_mp.pi)
+_MP_ID = (_mp.mpf(1), _mp.mpf(0), _mp.mpf(0), _mp.mpf(1))
 
 
 def _identity_residual_mp(m):
-    one = mpmath.mpf(1)
-    return float(min(max(abs(m[0] - one), abs(m[1]), abs(m[2]), abs(m[3] - one)),
-                     max(abs(m[0] + one), abs(m[1]), abs(m[2]), abs(m[3] + one))))
+    return float(min(max(abs(m[0] - 1), abs(m[1]), abs(m[2]), abs(m[3] - 1)),
+                     max(abs(m[0] + 1), abs(m[1]), abs(m[2]), abs(m[3] + 1))))
 
 
 def _to_float_matrix(m):
@@ -244,51 +242,49 @@ class PantsGeometry:
     """
 
     def __init__(self, half_lengths):
-        with mpmath.workdps(_DPS):
-            a = [mpmath.mpf(v) for v in half_lengths]
-            if any(v <= 0 for v in a):
-                raise SurfaceError("half lengths must be positive")
-            seam = []
-            for i in range(3):
-                _, ck, cl = pants._seam_split(a[i], a[(i + 1) % 3],
-                                              a[(i + 2) % 3], mpmath)
-                seam.append(ck + cl)
-            # sides: alpha1, zeta3', alpha2, zeta1', alpha3, zeta2'
-            side_lengths = [a[0], seam[2], a[1], seam[0], a[2], seam[1]]
-            quarter, half_turn = _turns(mpmath.mp.prec)
-            # the first frame is _MP_ID, whose product with a matrix is
-            # that matrix bit for bit, so the first step skips it
-            frames = [_MP_ID]
-            g = _mul(_trans(side_lengths[0]), quarter)
-            for L in side_lengths[1:]:
-                frames.append(g)
-                g = _mul(_mul(g, _trans(L)), quarter)
-            # closure of the right hexagon is the defining identity of the
-            # seam lengths; residual here only reflects arithmetic noise
-            if _identity_residual_mp(g) > 1e-30 * max(
-                    1.0, max(float(abs(v)) for f in frames for v in f)) ** 2:
-                raise SurfaceError("hexagon development failed to close")
-            self._side_frames = frames
-            self._axis_frames = {}
-            self._X = {}
-            for k in (1, 2, 3):
-                f = frames[2 * (k - 1)]
-                # X_k pulls the boundary line backward along the traversal;
-                # the axis frame therefore points down the side direction
-                self._X[k] = _mul(_mul(f, _trans(-2 * a[k - 1])), _inv(f))
-                self._axis_frames[k] = _mul(f, half_turn)
-            prod = _mul(_mul(self._X[1], self._X[2]), self._X[3])
-            if _identity_residual_mp(prod) > 1e-40:
-                raise SurfaceError("boundary holonomies do not compose to 1")
-            self.axes = {k: GeodesicLine(_frame_endpoint(frames[2 * (k - 1)], False),
-                                         _frame_endpoint(frames[2 * (k - 1)], True))
-                         for k in (1, 2, 3)}
+        a = [_mp.mpf(v) for v in half_lengths]
+        if any(v <= 0 for v in a):
+            raise SurfaceError("half lengths must be positive")
+        seam = []
+        for i in range(3):
+            _, ck, cl = pants._seam_split(a[i], a[(i + 1) % 3],
+                                          a[(i + 2) % 3], _mp)
+            seam.append(ck + cl)
+        # sides: alpha1, zeta3', alpha2, zeta1', alpha3, zeta2'
+        side_lengths = [a[0], seam[2], a[1], seam[0], a[2], seam[1]]
+        # the first frame is _MP_ID, whose product with a matrix is
+        # that matrix bit for bit, so the first step skips it
+        frames = [_MP_ID]
+        g = _mul(_trans(side_lengths[0]), _QUARTER_TURN)
+        for L in side_lengths[1:]:
+            frames.append(g)
+            g = _mul(_mul(g, _trans(L)), _QUARTER_TURN)
+        # closure of the right hexagon is the defining identity of the
+        # seam lengths; residual here only reflects arithmetic noise
+        if _identity_residual_mp(g) > 1e-30 * max(
+                1.0, max(float(abs(v)) for f in frames for v in f)) ** 2:
+            raise SurfaceError("hexagon development failed to close")
+        self._side_frames = frames
+        self._axis_frames = {}
+        self._X = {}
+        for k in (1, 2, 3):
+            f = frames[2 * (k - 1)]
+            # X_k pulls the boundary line backward along the traversal;
+            # the axis frame therefore points down the side direction
+            self._X[k] = _mul(_mul(f, _trans(-2 * a[k - 1])), _inv(f))
+            self._axis_frames[k] = _mul(f, _HALF_TURN)
+        prod = _mul(_mul(self._X[1], self._X[2]), self._X[3])
+        if _identity_residual_mp(prod) > 1e-40:
+            raise SurfaceError("boundary holonomies do not compose to 1")
+        self.axes = {k: GeodesicLine(_frame_endpoint(frames[2 * (k - 1)], False),
+                                     _frame_endpoint(frames[2 * (k - 1)], True))
+                     for k in (1, 2, 3)}
 
     def axis_frame(self, k, extra=0.0):
         """mp frame at the marked foot of boundary k, pointing along X_k."""
         if extra == 0.0:
             return self._axis_frames[k]
-        return _mul(self._axis_frames[k], _trans(mpmath.mpf(extra)))
+        return _mul(self._axis_frames[k], _trans(_mp.mpf(extra)))
 
 
 def _glue_map(geom_near, k_near, geom_far, k_far, twist):
@@ -297,8 +293,7 @@ def _glue_map(geom_near, k_near, geom_far, k_far, twist):
     Maps the far boundary axis onto the near one with reversed orientation
     and the far marked foot to the near marked foot shifted by the twist.
     """
-    _, half_turn = _turns(mpmath.mp.prec)
-    return _mul(_mul(geom_near.axis_frame(k_near, extra=twist), half_turn),
+    return _mul(_mul(geom_near.axis_frame(k_near, extra=twist), _HALF_TURN),
                 _inv(geom_far.axis_frame(k_far)))
 
 
@@ -322,11 +317,10 @@ class MarkedSurface:
         self.decomposition = decomposition
         self.coords = coords
         # signed letter -> extended-precision matrix, inverses formed once
-        with mpmath.workdps(_DPS):
-            self._mp_letters = {}
-            for i, g in enumerate(mp_generators, start=1):
-                self._mp_letters[i] = g
-                self._mp_letters[-i] = _inv(g)
+        self._mp_letters = {}
+        for i, g in enumerate(mp_generators, start=1):
+            self._mp_letters[i] = g
+            self._mp_letters[-i] = _inv(g)
         # signed letter -> the same matrix as `_int_traces` reads it
         self._int_letters = {v: _int_letter(m)
                              for v, m in self._mp_letters.items()}
@@ -342,8 +336,7 @@ class MarkedSurface:
 
     def holonomy(self, word):
         """Holonomy matrix of a class, word text or letter sequence."""
-        with mpmath.workdps(_DPS):
-            return _to_float_matrix(self._mp_holonomy(word))
+        return _to_float_matrix(self._mp_holonomy(word))
 
     def curve_length(self, word):
         """Translation length of the word's holonomy (see `curve_lengths`)."""
@@ -596,70 +589,69 @@ def build_holonomy(decomposition, coords):
             shapes[halves] = PantsGeometry(halves)
         geoms[p] = shapes[halves]
 
-    with mpmath.workdps(_DPS):
-        # spanning tree by BFS from the first pants, placed at _MP_ID; a
-        # product with the identity is the other factor bit for bit, so
-        # the root's products are skipped
-        root = decomposition.pants[0]
-        placements = {root: _MP_ID}
+    # spanning tree by BFS from the first pants, placed at _MP_ID; a
+    # product with the identity is the other factor bit for bit, so
+    # the root's products are skipped
+    root = decomposition.pants[0]
+    placements = {root: _MP_ID}
 
-        def placed(p, m):
-            # placements[p] m
-            return m if p == root else _mul(placements[p], m)
+    def placed(p, m):
+        # placements[p] m
+        return m if p == root else _mul(placements[p], m)
 
-        def conjugate(p, m):
-            # placements[p] m placements[p]^-1
-            return (m if p == root
-                    else _mul(_mul(placements[p], m), inverses[p]))
+    def conjugate(p, m):
+        # placements[p] m placements[p]^-1
+        return (m if p == root
+                else _mul(_mul(placements[p], m), inverses[p]))
 
-        tree_edges = set()
-        queue = [root]
-        while queue:
-            node = queue.pop(0)
-            for slot in (1, 2, 3):
-                i, (other, oslot) = decomposition.edge_at(node, slot)
-                if other in placements or i in tree_edges:
-                    continue
-                glue = _glue_map(geoms[node], slot, geoms[other], oslot,
-                                 coords.twists[i])
-                placements[other] = placed(node, glue)
-                tree_edges.add(i)
-                queue.append(other)
-        if len(placements) != len(decomposition.pants):
-            raise SurfaceError("decomposition graph is not connected")
-        inverses = {p: _inv(g) for p, g in placements.items() if p != root}
-
-        stable = {}
-        for i, (p, s, q, r) in enumerate(decomposition.curve_edges):
-            if i in tree_edges:
+    tree_edges = set()
+    queue = [root]
+    while queue:
+        node = queue.pop(0)
+        for slot in (1, 2, 3):
+            i, (other, oslot) = decomposition.edge_at(node, slot)
+            if other in placements or i in tree_edges:
                 continue
-            via = placed(p, _glue_map(geoms[p], s, geoms[q], r,
-                                      coords.twists[i]))
-            stable[i] = via if q == root else _mul(via, inverses[q])
+            glue = _glue_map(geoms[node], slot, geoms[other], oslot,
+                             coords.twists[i])
+            placements[other] = placed(node, glue)
+            tree_edges.add(i)
+            queue.append(other)
+    if len(placements) != len(decomposition.pants):
+        raise SurfaceError("decomposition graph is not connected")
+    inverses = {p: _inv(g) for p, g in placements.items() if p != root}
 
-        # conjugated boundary matrices and per-edge residuals
-        curve_matrices = []
-        worst = 0.0
-        for i, (p, s, q, r) in enumerate(decomposition.curve_edges):
-            near = conjugate(p, geoms[p]._X[s])
-            far = conjugate(q, geoms[q]._X[r])
-            if i in stable:
-                far = _mul(_mul(stable[i], far), _inv(stable[i]))
-            worst = max(worst, _identity_residual_mp(_mul(near, far)))
-            curve_matrices.append(near)
+    stable = {}
+    for i, (p, s, q, r) in enumerate(decomposition.curve_edges):
+        if i in tree_edges:
+            continue
+        via = placed(p, _glue_map(geoms[p], s, geoms[q], r,
+                                  coords.twists[i]))
+        stable[i] = via if q == root else _mul(via, inverses[q])
 
-        mp_generators, curve_words, seam_words = _genus2_marking(
-            decomposition, geoms, stable, curve_matrices)
+    # conjugated boundary matrices and per-edge residuals
+    curve_matrices = []
+    worst = 0.0
+    for i, (p, s, q, r) in enumerate(decomposition.curve_edges):
+        near = conjugate(p, geoms[p]._X[s])
+        far = conjugate(q, geoms[q]._X[r])
+        if i in stable:
+            far = _mul(_mul(stable[i], far), _inv(stable[i]))
+        worst = max(worst, _identity_residual_mp(_mul(near, far)))
+        curve_matrices.append(near)
 
-        surf = MarkedSurface(decomposition, coords, mp_generators,
-                             curve_words, seam_words, worst)
-        if curve_words is not None:
-            worst = max(worst, _identity_residual_mp(
-                surf._mp_holonomy(GENUS2_RELATOR)))
-            surf.relator_residual = worst
-        if worst > 1e-6:
-            raise SurfaceError("construction error: relator residual %.3e"
-                               % worst)
+    mp_generators, curve_words, seam_words = _genus2_marking(
+        decomposition, geoms, stable, curve_matrices)
+
+    surf = MarkedSurface(decomposition, coords, mp_generators,
+                         curve_words, seam_words, worst)
+    if curve_words is not None:
+        worst = max(worst, _identity_residual_mp(
+            surf._mp_holonomy(GENUS2_RELATOR)))
+        surf.relator_residual = worst
+    if worst > 1e-6:
+        raise SurfaceError("construction error: relator residual %.3e"
+                           % worst)
     return surf
 
 

@@ -169,6 +169,8 @@ def symmetric_path_point(spec, t, shrunk_index):
     The shrunk coordinate's noise component is overridden by exactly -t;
     the other coordinates keep the spec's noise.
     """
+    if not 0 <= shrunk_index < len(spec.base_log_lengths):
+        raise ThurstonError("shrunk index out of range")
     if shrunk_index == spec.stretched_index:
         raise ThurstonError("shrunk and stretched coordinates must differ")
     coords = noisy_path_point(spec, t)

@@ -158,11 +158,42 @@ def test_cones_verify_exterior_diagonal_exit_2(tmp_path, capsys):
 
 
 def test_malformed_json_exit_2(tmp_path, capsys):
-    spec = tmp_path / "broken.json"
-    spec.write_text('{"rows": [[0.1,')
-    code, _, err = run(["cones", "verify", "--spec", str(spec)], capsys)
-    assert code == 2
-    assert "line 1 column" in err
+    # JSON that does not parse, and JSON that parses to the wrong shape:
+    # each is a usage error with nothing on stdout, never a traceback
+    noisy = {"T": 1.0, "stretched_index": 0, "seed": 7}
+    cases = [
+        ("cones verify", '{"rows": [[0.1,', "line 1 column"),
+        ("cones verify", '{"rows": 5}', "needs a \"rows\" matrix"),
+        ("cones verify", '{"rows": [5]}', "needs a \"rows\" matrix"),
+        ("cones verify", '7', "needs a \"rows\" matrix"),
+        ("cones designer", '7', "needs a \"vertices\" list"),
+        ("cones designer", '{"vertices": [3]}', "needs a \"vertices\" list"),
+        ("cones designer", '{"vertices": []}', "at least 2 factors"),
+        ("thurston verify-noisy", '[1, 2]', "must be an object"),
+        ("thurston verify-noisy", '7', "must be an object"),
+        ("thurston verify-noisy",
+         json.dumps(dict(noisy, base_log_lengths=3)), "must be an object"),
+        ("thurston verify-noisy",
+         json.dumps(dict(noisy, base_log_lengths=[-13.0, -12.5, -12.2],
+                         T=[1.0])), "must be an object"),
+    ]
+    for command, text, message in cases:
+        spec = tmp_path / "input.json"
+        spec.write_text(text)
+        flag = "--config" if command.startswith("thurston") else "--spec"
+        code, out, err = run(command.split() + [flag, str(spec)], capsys)
+        assert (code, out) == (2, ""), (command, text, err)
+        assert err.startswith("error: ") and message in err, (text, err)
+
+
+def test_out_dir_naming_a_file_exit_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run(["--out-dir", str(taken), "cylinder", "lipschitz",
+                          "--a1", "0.1", "--a2", "0.2", "--samples", "10",
+                          "--seed", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ")
 
 
 def test_cones_designer(tmp_path, capsys):
@@ -208,6 +239,16 @@ def test_thurston_symmetric(capsys):
                         "--max-word-len", "2"], capsys)
     assert code == 0
     assert "forward" in out and "reverse" in out
+
+
+def test_thurston_symmetric_bad_shrunk_index_exit_2(capsys):
+    base = ["thurston", "verify-symmetric", "--base", "-13", "-12.5",
+            "-12.2", "--seed", "5", "--pairs", "1", "--max-word-len", "2"]
+    for flags in (["--shrunk-index", "5"],
+                  ["--shrunk-index", "-1", "--stretched-index", "2"]):
+        code, out, err = run(base + flags, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: shrunk index out of range\n"
 
 
 def test_thurston_linf_grid(capsys):

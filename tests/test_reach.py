@@ -498,3 +498,79 @@ def test_each_rule_reports_what_only_tests_read():
     assert unreached == ["sample.Box.label", "sample.scale"]
     assert unread == ["sample.Box.spare"]
     assert unsupplied == ["sample.Box.__init__(spin)"]
+
+
+# --- no global mpmath state ------------------------------------------------------
+
+_SCOPED_PRECISION = {"workdps", "workprec", "extradps", "extraprec"}
+
+
+def global_mpmath_uses(files):
+    """"file:line: use" for each place in the parsed files (file name ->
+    tree) that could read or set mpmath's global context, in line order:
+    a scoped precision change, an import of mpmath outside surface.py, a
+    name other than libmp imported from it, or a use of the module other
+    than the call that makes surface's private context,
+    `mpmath.MPContext()`."""
+    out = []
+    for name, tree in files.items():
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            use = None
+            if isinstance(node, ast.Import):
+                if name != "surface.py" and any(
+                        a.name.split(".")[0] == "mpmath" for a in node.names):
+                    use = "import mpmath"
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+                if (node.module or "").split(".")[0] == "mpmath" and (
+                        name != "surface.py" or names != ["libmp"]):
+                    use = "from mpmath import " + ", ".join(names)
+            elif isinstance(node, ast.Name) and node.id == "mpmath":
+                attr = getattr(parents[node], "attr", None)
+                if attr != "MPContext" or not isinstance(
+                        parents[parents[node]], ast.Call):
+                    use = "mpmath" + ("." + attr if attr else "")
+            else:
+                use = getattr(node, "attr", None) or getattr(node, "id", None)
+                if use not in _SCOPED_PRECISION:
+                    use = None
+            if use:
+                out.append((name, node.lineno, use))
+    return ["%s:%d: %s" % u for u in sorted(out)]
+
+
+def test_numerics_read_no_global_mpmath_state():
+    files = {p.name: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+    uses = global_mpmath_uses(files)
+    assert not uses, "global mpmath state: " + "; ".join(uses)
+
+
+_GLOBAL_SAMPLE = '''
+import mpmath
+from mpmath import libmp, mp
+
+_mp = mpmath.MPContext()
+with _mp.workdps(30):
+    x = mpmath.mpf(1) + _mp.mpf(2)
+y = split(x, mpmath)
+prec = mpmath.mp.prec
+'''
+
+
+def test_global_mpmath_rule_reports_each_use():
+    # surface.py may import mpmath and libmp and make its context, and
+    # nothing more; any other file may not import mpmath at all
+    assert global_mpmath_uses({"surface.py": ast.parse(_GLOBAL_SAMPLE)}) == [
+        "surface.py:3: from mpmath import libmp, mp",
+        "surface.py:6: workdps",
+        "surface.py:7: mpmath.mpf",
+        "surface.py:8: mpmath",
+        "surface.py:9: mpmath.mp",
+    ]
+    assert global_mpmath_uses({"other.py": ast.parse(
+        "import mpmath\nfrom mpmath import libmp\n")}) == [
+        "other.py:1: import mpmath",
+        "other.py:2: from mpmath import libmp",
+    ]

@@ -7,7 +7,7 @@ import pytest
 from mpmath import iv, libmp
 from hypothesis import given, settings, strategies as st
 
-from teichlab import curves, hyp2, pants, surface
+from teichlab import combinat, curves, hyp2, pants, surface
 from teichlab.surface import (
     FNCoordinates, PantsDecomposition, SurfaceError,
     build_holonomy, builtin_genus2_convenient,
@@ -69,17 +69,34 @@ def test_fn_coordinates_validation():
 
 
 # --- single-pants geometry -----------------------------------------------------
-# These read the 80-digit frames and boundary matrices at 160 digits, so
-# the tests' own arithmetic adds nothing at the bounds asserted.
+# These read the 80-digit frames and boundary matrices at 160 digits: the
+# helpers below run inside mpmath.workdps(160), convert each entry exactly
+# into the global context and multiply there by the operators, so the
+# tests' own arithmetic adds nothing at the bounds asserted.
+
+def _operator_mul(m, n):
+    """2x2 product by the number type's operators (mpf or interval)."""
+    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+
+
+def _operator_inv(m):
+    det = m[0] * m[3] - m[1] * m[2]
+    return (m[3] / det, -m[1] / det, -m[2] / det, m[0] / det)
+
+
+def _global(m):
+    return tuple(mpmath.mpf(x) for x in m)
+
 
 def _relative(f, h):
     # f^-1 h
-    return surface._mul(surface._inv(f), h)
+    return _operator_mul(_operator_inv(_global(f)), _global(h))
 
 
 def _conjugate(f, m):
     # f^-1 m f
-    return surface._mul(_relative(f, m), f)
+    return _operator_mul(_relative(f, m), _global(f))
 
 
 def _side_lengths(g):
@@ -97,7 +114,8 @@ def _side_lengths(g):
 def test_pants_geometry_boundary_product_is_identity():
     g = surface.PantsGeometry((0.6, 0.8, 1.1))
     with mpmath.workdps(160):
-        prod = surface._mul(surface._mul(g._X[1], g._X[2]), g._X[3])
+        prod = _operator_mul(_operator_mul(_global(g._X[1]), _global(g._X[2])),
+                             _global(g._X[3]))
         assert surface._identity_residual_mp(prod) < 1e-70
 
 
@@ -254,6 +272,40 @@ def test_random_fn_points_consistency():
             assert abs(s.curve_length(w) - l) <= 1e-9 * l
 
 
+def _numerics_probe():
+    """Bits of the 80-digit numerics on a fresh pinched and a fresh thick
+    surface: generators, a holonomy, a kernel product, the L4 lengths and
+    one lift search's rotation map."""
+    pinched = builtin_surface([1e-4, 2e-5, 5e-5], [0.1, 0.2, -0.3])
+    letters = pinched._mp_letters
+    thick = builtin_surface([0.7, 0.8, 0.9])
+    seq = combinat.intersection_sequence(thick, "cd", search_depth=8)
+    return {
+        "generators": [[x._mpf_ for x in letters[v]] for v in (1, 2, 3, 4)],
+        "holonomy": [x._mpf_ for x in pinched._mp_holonomy("abCdcD")],
+        "mul": [x._mpf_ for x in surface._mul(letters[1], letters[-3])],
+        "lengths": pinched.curve_lengths(
+            [c.word for c in curves.enumerate_conj_classes(2, 4)]),
+        "rotation": (seq.intersection_number, combinat.combinatorial_rotation(
+            combinat.classify_and_rotate(seq))),
+    }
+
+
+@pytest.mark.parametrize("dps", [15, 200])
+def test_numerics_ignore_the_global_precision(dps):
+    # every 80-digit number comes from surface's private context, so the
+    # precision of mpmath's global context, which any caller or thread may
+    # change, reaches no result
+    want = _numerics_probe()
+    for key in ("holonomy", "mul"):
+        # 80 digits, not the 53 bits of the global default
+        assert min(bits for _, _, _, bits in want[key]) > 200, key
+    with mpmath.workdps(dps):
+        got = _numerics_probe()
+    for key in want:
+        assert got[key] == want[key], key
+
+
 def test_build_is_deterministic():
     s1 = builtin_surface([1.2, 1.6, 2.2], [0.3, -0.7, 1.1])
     s2 = builtin_surface([1.2, 1.6, 2.2], [0.3, -0.7, 1.1])
@@ -303,30 +355,18 @@ def batch_surfaces():
             builtin_surface([1e-3, 2e-4, 5e-4])]
 
 
-def _operator_mul(m, n):
-    """2x2 product by the number type's operators (mpf or interval)."""
-    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
-            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
-
-
-def _operator_inv(m):
-    det = m[0] * m[3] - m[1] * m[2]
-    return (m[3] / det, -m[1] / det, -m[2] / det, m[0] / det)
-
-
-@pytest.mark.parametrize("dps", [80, 33])
-def test_kernel_matches_the_operators(dps):
-    # the libmp kernel rounds each step as the mpf operators do, so it
-    # gives their _mpf_ tuples bit for bit, at any working precision
-    rng = random.Random(dps)
-    with mpmath.workdps(dps):
-        for _ in range(200):
-            m, n = (tuple(mpmath.mpf(rng.uniform(-1.0, 1.0))
-                          * mpmath.exp(rng.uniform(-40.0, 40.0)) / 3
-                          for _ in range(4)) for _ in range(2))
-            for got, want in ((surface._mul(m, n), _operator_mul(m, n)),
-                              (surface._inv(m), _operator_inv(m))):
-                assert [x._mpf_ for x in got] == [x._mpf_ for x in want]
+def test_kernel_matches_the_operators():
+    # the libmp kernel rounds each step as the private context's mpf
+    # operators do, so it gives their _mpf_ tuples bit for bit
+    ctx = surface._mp
+    rng = random.Random(80)
+    for _ in range(200):
+        m, n = (tuple(ctx.mpf(rng.uniform(-1.0, 1.0))
+                      * ctx.exp(rng.uniform(-40.0, 40.0)) / 3
+                      for _ in range(4)) for _ in range(2))
+        for got, want in ((surface._mul(m, n), _operator_mul(m, n)),
+                          (surface._inv(m), _operator_inv(m))):
+            assert [x._mpf_ for x in got] == [x._mpf_ for x in want]
 
 
 def _oracle_lengths(s, words, dps=160):

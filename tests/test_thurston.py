@@ -142,6 +142,19 @@ def test_path_point_out_of_range():
         noisy_path_point(spec, 1.1)
 
 
+def test_symmetric_path_point_checks_shrunk_index():
+    # -1 would pass the "must differ" check by negative indexing and shrink
+    # the stretched coordinate 2
+    spec = random_noisy_spec(BASE, 1.0, 2, seed=1)
+    for index in (3, 5, -1):
+        with pytest.raises(ThurstonError, match="shrunk index out of range"):
+            symmetric_path_point(spec, 0.5, index)
+    with pytest.raises(ThurstonError, match="must differ"):
+        symmetric_path_point(spec, 0.5, 2)
+    coords = symmetric_path_point(spec, 0.5, 0)
+    assert coords.lengths[0] == math.exp(BASE[0] - 0.5)
+
+
 # --- ratio_sup ------------------------------------------------------------------
 
 
