@@ -86,6 +86,45 @@ def _load_json(path):
                          % (path, ex.lineno, ex.colno, ex.msg))
 
 
+def _json_number(value, whole=False):
+    """A JSON number knob as a float, or as an int when `whole`.
+
+    The one reader of the JSON inputs' numbers: a string, a bool, a
+    value that is not a finite float or, when `whole`, one with a
+    fraction raises TypeError, which each command reports as its usage
+    error.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
+    try:
+        x = float(value)
+    except OverflowError:
+        raise TypeError from None
+    if not math.isfinite(x) or whole and not x.is_integer():
+        raise TypeError
+    return int(value) if whole else x
+
+
+def _json_numbers(values):
+    """A JSON list of number knobs as floats (`_json_number`)."""
+    if not isinstance(values, list):
+        raise TypeError
+    return [_json_number(v) for v in values]
+
+
+def _time_pairs(seed, horizon, count):
+    """`count` seeded time pairs 0 <= t1 < t2 <= horizon; a certificate
+    over no pair says nothing, so a count below 1 is a usage error."""
+    if count < 1:
+        raise UsageError("--pairs must be at least 1")
+    rng = random.Random(seed + 2)
+    pairs = []
+    for _ in range(count):
+        t1 = rng.uniform(0.0, horizon * 0.9)
+        pairs.append((t1, rng.uniform(t1 + 1e-3, horizon)))
+    return pairs
+
+
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -174,28 +213,24 @@ def cmd_distortion(args, rep):
 
 def _noisy_spec_from_config(cfg):
     try:
-        base = [float(v) for v in cfg["base_log_lengths"]]
-        horizon = float(cfg["T"])
-        stretched = int(cfg["stretched_index"])
-        seed = int(cfg["seed"])
-        d_const = float(cfg.get("D", 5.0))
+        base = _json_numbers(cfg["base_log_lengths"])
+        horizon = _json_number(cfg["T"])
+        stretched = _json_number(cfg["stretched_index"], whole=True)
+        seed = _json_number(cfg["seed"], whole=True)
+        d_const = _json_number(cfg.get("D", 5.0))
     except KeyError as ex:
         raise UsageError("config missing knob %s" % ex)
     except TypeError:
-        raise UsageError("config must be an object of number knobs, "
-                         "base_log_lengths a list of them") from None
+        raise UsageError("config must be an object of finite number knobs, "
+                         "seed and stretched_index whole, base_log_lengths "
+                         "a list of them") from None
     return thurston.random_noisy_spec(base, horizon, stretched, D=d_const,
                                       seed=seed), seed
 
 
 def cmd_thurston_verify_noisy(args, rep):
     spec, seed = _noisy_spec_from_config(_load_json(args.config))
-    rng = random.Random(seed + 2)
-    pairs = []
-    for _ in range(args.pairs):
-        t1 = rng.uniform(0.0, spec.T * 0.9)
-        t2 = rng.uniform(t1 + 1e-3, spec.T)
-        pairs.append((t1, t2))
+    pairs = _time_pairs(seed, spec.T, args.pairs)
     dec = surface_mod.builtin_genus2_convenient()
     family = _family(args)
     report = thurston.verify_noisy_geodesic(spec, dec, pairs, family)
@@ -213,20 +248,18 @@ def cmd_thurston_verify_noisy(args, rep):
 def cmd_thurston_verify_symmetric(args, rep):
     spec = thurston.random_noisy_spec(args.base, args.T,
                                       args.stretched_index, seed=args.seed)
+    pairs = _time_pairs(args.seed, args.T, args.pairs)
     dec = surface_mod.builtin_genus2_convenient()
     family = _family(args)
-    rng = random.Random(args.seed + 2)
     ok = True
-    for _ in range(args.pairs):
-        t1 = rng.uniform(0.0, args.T * 0.9)
-        t2 = rng.uniform(t1 + 1e-3, args.T)
+    for t1, t2 in pairs:
         expected = math.exp(t2 - t1)
         surfs = [surface_mod.build_holonomy(
             dec, thurston.symmetric_path_point(spec, t, args.shrunk_index))
             for t in (t1, t2)]
         fwd, rev = thurston.ratio_sup_both_ways(surfs[0], surfs[1], family)
         for name, cert in (("forward", fwd), ("reverse", rev)):
-            good = abs(cert.sup_ratio - expected) <= 1e-9 * expected
+            good = thurston.is_exact_ratio(cert.sup_ratio, expected)
             ok = ok and good
             rep.say("%s t1 %s t2 %s sup %s expected %s witness %s pass %d"
                     % (name, _fmt(t1), _fmt(t2), _fmt(cert.sup_ratio),
@@ -263,8 +296,8 @@ def cmd_thurston_asymmetry(args, rep):
         fwd, rev = thurston.ratio_sup_both_ways(surfs[0], surfs[1], family)
         e_fwd = math.exp(t2 - t1)
         e_rev = math.exp(f(t1) - f(t2))
-        ok_f = abs(fwd.sup_ratio - e_fwd) <= 1e-9 * e_fwd
-        ok_r = abs(rev.sup_ratio - e_rev) <= 1e-9 * e_rev
+        ok_f = thurston.is_exact_ratio(fwd.sup_ratio, e_fwd)
+        ok_r = thurston.is_exact_ratio(rev.sup_ratio, e_rev)
         ok = ok and ok_f and ok_r
         rep.say("t1 %s t2 %s forward %s (expected %s) reverse %s "
                 "(expected %s) pass %d"
@@ -276,14 +309,11 @@ def cmd_thurston_asymmetry(args, rep):
 def cmd_cones_verify(args, rep):
     data = _load_json(args.spec)
     try:
-        rows = [[args.scale * float(v) for v in row] for row in data["rows"]]
+        rows = [[args.scale * v for v in _json_numbers(row)]
+                for row in data["rows"]]
     except (KeyError, TypeError):
         raise UsageError("cone spec JSON needs a \"rows\" matrix") from None
     spec = cones.ConeSpecL(rows)
-    cone = cones.cone_over_hull(spec)
-    if not cone.interior_ones:
-        raise UsageError("hypothesis violated: (1, ..., 1) must be "
-                         "interior to the cone")
     dec = surface_mod.builtin_genus2_convenient()
     n = spec.n
     surfaces = [surface_mod.build_holonomy(
@@ -308,13 +338,10 @@ def cmd_cones_verify(args, rep):
 def cmd_cones_designer(args, rep):
     data = _load_json(args.spec)
     try:
-        vertices = [[float(v) for v in row] for row in data["vertices"]]
+        vertices = [_json_numbers(row) for row in data["vertices"]]
     except (KeyError, TypeError):
         raise UsageError("designer spec JSON needs a \"vertices\" list") from None
     cone = cones.cone_over_hull(vertices)
-    if not cone.interior_ones:
-        raise UsageError("hypothesis violated: (1, ..., 1) must be "
-                         "interior to the cone")
     spec = cones.designer_lengths(cone, args.total_curves, args.scale)
     rep.file("designer_lengths.json",
              json.dumps({"rows": [list(r) for r in spec.rows]},

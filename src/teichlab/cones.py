@@ -265,11 +265,16 @@ def hl_membership(b, L, C):
     return True
 
 
-# the screen of `verify_limit_cone`: a bound on the summed relative error
-# of a class's length estimates, and the least facet margin of its
+# the screen of `verify_limit_cone`: the least facet margin of a class's
 # estimated direction
-_SCREEN_REL_ERR = 1e-13
 _FACET_GAP = 1e-12
+
+
+def _require_diagonal(cone):
+    """The hypothesis of the cone checks: (1, ..., 1) is interior."""
+    if not cone.interior_ones:
+        raise ConesError("hypothesis violated: (1, ..., 1) must be "
+                         "interior to the cone")
 
 
 def verify_limit_cone(surfaces, family, tol_angular=1e-2):
@@ -281,52 +286,47 @@ def verify_limit_cone(surfaces, family, tol_angular=1e-2):
     of the cone the pants curve whose direction attains it, or None.
 
     Each factor estimates the family's lengths once.  A class is screened
-    when each factor's estimate is decided, their `rel` bounds sum to at
-    most delta = `_SCREEN_REL_ERR` and the estimated direction lies more
-    than eta = `_FACET_GAP` inside every facet: f.l~ > eta |l~| for each
-    unit facet normal f and the estimated lengths l~.  Its excess is 0.0.
-    The other classes, the candidates, get exact Jordan vectors in family
-    order (`_jordan_vectors`), so the first class that is not hyperbolic
-    in some factor raises as it would without the screen.
+    when each factor gives it an estimate and the estimated direction lies
+    more than eta = `_FACET_GAP` inside every facet: f.l~ > eta |l~| for
+    each unit facet normal f and the estimated lengths l~.  Its excess is
+    0.0.  The other classes, the candidates, get exact Jordan vectors in
+    family order (`_jordan_vectors`), so the first class that is not
+    hyperbolic in some factor raises as it would without the screen.
 
     Why this changes nothing: let l be a screened class's exact lengths,
-    the doubles `curve_lengths` returns, and l~ its estimates.  In each
-    factor l~ is within rel of the length of the exact trace, and the
-    float parts (the estimate's acosh or asinh and the half ulp by which
-    l is rounded) are below 1e-15, so |l~/l - 1| <= delta + 1e-15 in
-    every factor.  Positive vectors that close have unit vectors u~ and
-    u within 2 (delta + 1e-15) of each other, and a facet normal has
-    norm 1 to within an ulp, so f.u >= f.u~ - 2.1e-13.  The screen's
-    products, norm and bar, and the dot products of unit vectors in R^n
-    that `PolyCone.angular_excess` forms, are computed to within about n
-    ulps of |l~| or of 1, far below eta - 2.1e-13 = 7.9e-13.  So the
-    screen makes the computed f.u positive for every facet, and
-    `angular_excess` returns its starting 0.0, which is inside iff
-    0.0 <= tol_angular.  A screened class's traces exceed 2 by more than
-    1e-40 in every factor (`surface._estimate`), so it is hyperbolic and
-    never the class that raises; it is never refolded either, so
-    `curve_lengths`' cap cannot raise for it.  Every class thus gets the
-    excess and the verdict its exact row would give (`ray_rows`), and so
-    do the counts, the largest excess and its first class.
+    the doubles `curve_lengths` returns, and l~ its estimates.  By the
+    contract of `length_estimates`, with rho = `surface._ESTIMATE_REL`,
+    |l~/l - 1| <= rho + 1.2e-15 in every factor (1e-15 and the half ulp
+    of l), so the unit vectors u~ and u are within 2 (rho + 1.2e-15) of
+    each other, and a facet normal has norm 1 to within an ulp, so
+    f.u >= f.u~ - 5.5e-14.  The screen's products, norm and bar, and the
+    dot products of unit vectors in R^n that `PolyCone.angular_excess`
+    forms, are computed to within about n ulps of |l~| or of 1, far below
+    eta - 5.5e-14.  So the screen makes the computed f.u positive for
+    every facet, and `angular_excess` returns its starting 0.0, which is
+    inside iff 0.0 <= tol_angular.  By the same contract a screened
+    class's traces exceed 2 by more than 1e-40 in every factor, so it is
+    hyperbolic and never the class that raises; it never reaches
+    `curve_lengths`, so that cap cannot raise for it either.  Every class
+    thus gets the excess and the verdict its exact row would give
+    (`ray_rows`), and so do the counts, the largest excess and its first
+    class.
     """
     if not surfaces:
         raise ConesError("need at least one surface")
     spec = ConeSpecL([[s.coords.lengths[i] for s in surfaces]
                       for i in range(len(surfaces[0].coords.lengths))])
     cone = cone_over_hull(spec)
-    if not cone.interior_ones:
-        raise ConesError("diagonal direction not interior to the cone")
+    _require_diagonal(cone)
 
     reduced = [curves._reduced_word(cls) for cls in family]
     estimates = [s.length_estimates(reduced) for s in surfaces]
     candidates = []
-    for i, ests in enumerate(zip(*estimates)):
-        if None not in ests:
-            lengths, rels = zip(*ests)
+    for i, lengths in enumerate(zip(*estimates)):
+        if None not in lengths:
             bar = _FACET_GAP * math.hypot(*lengths)
-            if sum(rels) <= _SCREEN_REL_ERR and all(
-                    sum(map(operator.mul, f, lengths)) > bar
-                    for f in cone.facet_normals):
+            if all(sum(map(operator.mul, f, lengths)) > bar
+                   for f in cone.facet_normals):
                 continue
         candidates.append(i)
     # one exact batch: the pants curves, then the candidates
@@ -387,11 +387,10 @@ def designer_lengths(cone, total_curves, scale):
     pants curves sit at the scaled centroid, which the hull absorbs as
     redundant.
     """
+    _require_diagonal(cone)
     k = len(cone.vertex_directions)
     if not cone.n <= k <= total_curves:
         raise ConesError("need n <= vertex count <= curve count")
-    if not cone.interior_ones:
-        raise ConesError("diagonal direction must be interior to the cone")
     if not 0.0 < scale:
         raise ConesError("scale must be positive")
     rows = [tuple(scale * x for x in v) for v in cone.vertex_directions]

@@ -38,12 +38,12 @@ at twice the bits (A. Ziv, ACM TOMS 17(3), 1991) up to a stated cap.
 The exact length is never a midpoint, and the enclosure shrinks with the
 bits, so the refolds end.  The CLI, the cone checks, the distortion
 bounds and the ratio certificates read these lengths; the certificates'
-and the cone check's screens read float estimates of the same fold
-(`length_estimates`).  `build_holonomy` takes exp, cos and sin from `_mp`,
-and its 2x2 products and inverses (`_mul`, `_inv`, which the lift
-search's 80-digit steps use too) call `mpmath.libmp` on the entries' raw
-tuples with `_mp`'s precision and rounding: the same numbers as its mpf
-operators, without their dispatch.
+and the cone check's screens read float estimates of the same fold,
+whose one error bound `length_estimates` states.  `build_holonomy`
+takes exp, cos and sin from `_mp`, and its 2x2 products and inverses
+(`_mul`, `_inv`, which the lift search's 80-digit steps use too) call
+`mpmath.libmp` on the entries' raw tuples with `_mp`'s precision and
+rounding: the same numbers as its mpf operators, without their dispatch.
 """
 
 import functools
@@ -376,15 +376,17 @@ class MarkedSurface:
         return out
 
     def length_estimates(self, words):
-        """Float lengths of cyclically reduced words, with error bounds.
+        """Float lengths of cyclically reduced words, or None.
 
-        Each entry is a pair (length, rel) or None.  `_int_traces` gives
-        each word's |trace| at `_BITS` bits with a radius that bounds its
-        distance to the exact trace, and rel bounds the relative distance
-        between the lengths of the two traces (`_estimate`); the float
-        rounding of the length is a few ulps on top.  None marks a word
-        this fold cannot decide: an empty word, |trace| - 2 not above 1e-40
-        over the radius, or a trace beyond the float range.
+        The contract that the screens cite: a float l~ is within
+        rho + 1e-15 of the word's exact length l (the number
+        `curve_lengths` rounds), |l~/l - 1| <= rho + 1e-15 with rho =
+        `_ESTIMATE_REL`, and the word's exact trace exceeds 2 by more than
+        1e-40, so its image is hyperbolic.  rho bounds the error that the
+        radius of the `_BITS`-bit fold (`_int_traces`) allows, 1e-15 the
+        float roundings (`_estimate`).  None marks an empty word,
+        |trace| - 2 not above 1e-40 over the radius, a trace beyond the
+        float range or a radius wider than rho allows.
         """
         return [None if t is None else _estimate(*t)
                 for t in self._int_traces(words, _BITS)]
@@ -473,20 +475,22 @@ _BITS = 272
 _MAX_BITS = 16 * _BITS
 # a trace within 1 / _PARABOLIC_SCALE of 2 counts as parabolic
 _PARABOLIC_SCALE = 10 ** 40
+# the radius's share of an estimate's relative error (`length_estimates`)
+_ESTIMATE_REL = 2.5e-14
 
 
 def _estimate(n, e, radius):
-    """(length, rel) from an integer |trace| n 2^e known within radius 2^e.
+    """The length of a |trace| t within radius 2^e of n 2^e, or None.
 
-    A trace t >= 3 gives 2 acosh(t/2); below 3 the excess d = t - 2 is
-    formed exactly and the length is 4 asinh(sqrt(d)/2), the same value,
-    so either branch is off by a few ulps of float rounding.  Over traces
-    within the radius the length moves by at most rel of itself: the
-    length's log-derivative is at most t/(t^2 - 4), from
-    acosh(y) >= sqrt(y^2 - 1)/y, and it falls as t grows, so it is taken
-    at the radius's low end and doubled to cover the float roundings of
-    the bound.  None when d is not above 1e-40 over the whole radius, so
-    the trace is not surely hyperbolic, or t is beyond the float range.
+    t >= 3 gives 2 acosh(t/2); below 3 the excess d = t - 2 is formed
+    exactly and the length is 4 asinh(sqrt(d)/2), the same value, so
+    either branch is off by a few ulps, below 1e-15.  Over the radius the
+    length moves by at most rel of itself: its log-derivative is at most
+    t/(t^2 - 4), from acosh(y) >= sqrt(y^2 - 1)/y, which falls as t
+    grows, so it is taken at the radius's low end and doubled to cover
+    the bound's roundings.  None when d is not above 1e-40 over the
+    radius, so t is not surely hyperbolic, when t is beyond the float
+    range, or when rel exceeds `_ESTIMATE_REL`.
     """
     if e > 0:
         n, radius, e = n << e, radius << e, 0
@@ -501,12 +505,11 @@ def _estimate(n, e, radius):
         x = math.ldexp(n, e)
     except OverflowError:
         return None
+    if 2.0 * (radius / low) * (x / (x + 2.0)) > _ESTIMATE_REL:
+        return None
     if x >= 3.0:
-        length = 2.0 * math.acosh(x / 2.0)
-    else:
-        length = 4.0 * math.asinh(math.sqrt(math.ldexp(low + radius, e))
-                                  / 2.0)
-    return length, 2.0 * (radius / low) * (x / (x + 2.0))
+        return 2.0 * math.acosh(x / 2.0)
+    return 4.0 * math.asinh(math.sqrt(math.ldexp(low + radius, e)) / 2.0)
 
 
 def _length(n, e, radius, bits):

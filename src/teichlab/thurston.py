@@ -11,14 +11,13 @@ curve classes never beats it.  The full supremum over all classes is not
 recomputed; every report is a family-restricted certificate.
 
 A certificate reads one batch of length estimates per surface
-(`MarkedSurface.length_estimates`, float lengths of the one trace fold
-with a computed error radius).  The estimates rank the words, and only
-the words whose estimated ratio can reach the supremum or the witness
-band, or whose estimate is undecided, get exact lengths (`curve_lengths`,
-the doubles nearest the lengths of the exact traces).  The screen's
-margin covers the estimates' error many times over, so the supremum, the
-witness and the counts equal those of exact lengths for every word (see
-`_sup_certificate`).
+(`MarkedSurface.length_estimates`, floats within the error bound that
+`surface` states, or None).  The estimates rank the words, and only the
+words whose estimated ratio can reach the supremum or the witness band,
+or whose estimate is None, get exact lengths (`curve_lengths`, the
+doubles nearest the lengths of the exact traces).  The screen's margin
+covers that bound, so the supremum, the witness and the counts equal
+those of exact lengths for every word (see `_sup_certificate`).
 """
 
 import math
@@ -229,10 +228,17 @@ def _class_key(word):
 # relative width of the witness band below the supremum: a curve and its
 # powers give ulp-separated ratios
 _WITNESS_BAND = 1e-12
-# bound on the relative error of a screened ratio: the trace part of the
-# length estimates is computed (`MarkedSurface.length_estimates`) and kept
-# below half of it, the float part is a few ulps
+# bound on the relative error of a screened ratio, at least
+# 2 (rho + 1e-15) + 1e-15 for the estimates' bound rho + 1e-15
+# (rho = `surface._ESTIMATE_REL`, see `_sup_certificate`)
 _SCREEN_REL_ERR = 1e-13
+# relative tolerance of the exact-ratio test
+_EXACT_TOL = 1e-9
+
+
+def is_exact_ratio(ratio, expected):
+    """Whether a length ratio is the expected one, to `_EXACT_TOL`."""
+    return abs(ratio - expected) <= _EXACT_TOL * expected
 
 
 def _sup_certificate(family, x_estimates, y_estimates, x_surface,
@@ -240,44 +246,40 @@ def _sup_certificate(family, x_estimates, y_estimates, x_surface,
     """The certificate of `ratio_sup` from the length estimates of the
     family's words; only the candidates' classes are read as words.
 
-    Every word with a decided estimate on both surfaces, a trace part
-    rx + ry <= delta/2 and a finite positive estimated ratio
-    e = l~_Y/l~_X is screened; E is the largest screened e, w the witness
-    band and delta = `_SCREEN_REL_ERR`.  The candidates are the other
-    words and the screened words with e >= E (1 - w)(1 - 2 delta).  They
-    get `curve_lengths` on X and on Y; a candidate that is not hyperbolic
-    on either surface is skipped, and the others get exact ratios r of
-    their exact lengths.
+    Every word with an estimate on both surfaces is screened, with the
+    estimated ratio e = l~_Y/l~_X, finite and positive since an estimate
+    lies in [2e-20, 1420).  E is the largest screened e, w the witness
+    band and delta = `_SCREEN_REL_ERR`.  The candidates are the words
+    with a None estimate and the screened words with
+    e >= E (1 - w)(1 - 2 delta).  They get `curve_lengths` on X and on Y;
+    a candidate that is not hyperbolic on either surface is skipped, and
+    the others get exact ratios r of their exact lengths.
 
-    Why this changes nothing: a screened word's estimated lengths are
-    within rx and ry of the lengths of its exact traces (the trace part),
-    and the float part (the estimates' acosh or asinh, the half ulp by
-    which an exact length is rounded and the division) is below 1e-15,
-    so |e/r - 1| <= delta.  A screened word's exact traces exceed 2 by
-    at least 1e-40 (`surface._estimate`), so it is hyperbolic and not
-    skipped, and the skipped words are those whose exact traces are not
-    hyperbolic, as for exact lengths of every word.  Let R be the exact supremum and u a word with
-    r_u >= R (1 - w), as the supremum's word and every witness-band word
-    are.  If u is screened and E = e_v then E <= (1 + delta) r_v
-    <= (1 + delta) R, so e_u >= (1 - delta)(1 - w) R
+    Why this changes nothing: by the contract of `length_estimates` a
+    screened word's estimates are within rho + 1e-15 of its exact
+    lengths, rho = `surface._ESTIMATE_REL`, and the exact lengths'
+    roundings and the two divisions add under 1e-15, so
+    |e/r - 1| <= 2 (rho + 1e-15) + 1e-15 <= delta; and its exact traces
+    exceed 2 by more than 1e-40, so it is hyperbolic and not skipped: the
+    skipped words are those whose exact traces are not hyperbolic, as for
+    exact lengths of every word.  Let R be the exact supremum and u a
+    word with r_u >= R (1 - w), as the supremum's word and every
+    witness-band word are.  If u is screened and E = e_v then
+    E <= (1 + delta) r_v <= (1 + delta) R, so e_u >= (1 - delta)(1 - w) R
     >= (1 - delta)/(1 + delta) (1 - w) E >= (1 - 2 delta)(1 - w) E, and
     u is a candidate.  The supremum and the witness band over the
     candidates are thus those over the whole family, and so are the
-    supremum, the witness and the counts; the slack between 1e-15 and
-    delta/2 absorbs the roundings of the bar itself.
+    supremum, the witness and the counts; delta's slack over the bound on
+    |e/r - 1| absorbs the roundings of the bar itself.
     """
     if not family:
         raise ThurstonError("family must be nonempty")
     screened, candidates = [], []
     for i, (ex, ey) in enumerate(zip(x_estimates, y_estimates)):
-        if ex is None or ey is None or ex[1] + ey[1] > _SCREEN_REL_ERR / 2:
+        if ex is None or ey is None:
             candidates.append(i)
-            continue
-        ratio = ey[0] / ex[0] if ex[0] > 0.0 else math.inf
-        if 0.0 < ratio < math.inf:
-            screened.append((ratio, i))
         else:
-            candidates.append(i)
+            screened.append((ey / ex, i))
     if screened:
         bar = max(r for r, _ in screened) * ((1.0 - _WITNESS_BAND)
                                              * (1.0 - 2.0 * _SCREEN_REL_ERR))
@@ -327,8 +329,8 @@ def ratio_sup(x_surface, y_surface, family, designated=None, expected=None):
         ly, = y_surface.curve_lengths(des)
         cert.exact_flag = (not isinstance(lx, surface_mod.SurfaceError)
                            and not isinstance(ly, surface_mod.SurfaceError)
-                           and abs(ly / lx - expected) <= 1e-9 * expected
-                           and cert.sup_ratio <= expected * (1.0 + 1e-9))
+                           and is_exact_ratio(ly / lx, expected)
+                           and cert.sup_ratio <= expected * (1.0 + _EXACT_TOL))
     return cert
 
 
@@ -389,9 +391,13 @@ def linf_grid_check(base_log_lengths, T, k, grid_n, family, decomposition):
 
     Coordinate i of the cube moves the pair of log-lengths (2i, 2i+1) by
     (+x_i, -x_i); between two grid points the family ratio supremum must
-    equal exp(max_i |x_i - y_i|) in both directions, to a relative 1e-9.
+    equal exp(max_i |x_i - y_i|) in both directions (`is_exact_ratio`).
     """
     n = len(base_log_lengths)
+    if not T > 0:
+        raise ThurstonError("need a positive cube side T")
+    if k < 1:
+        raise ThurstonError("need a cube dimension k of at least 1")
     if 2 * k > n:
         raise ThurstonError("cube dimension needs 2k coordinate slots")
     if grid_n < 2:
@@ -429,9 +435,7 @@ def linf_grid_check(base_log_lengths, T, k, grid_n, family, decomposition):
             axis = max(range(k), key=lambda i: diffs[i])
             for src, dst in ((a, b), (b, a)):
                 cert = certs[src, dst]
-                ok = (abs(cert.sup_ratio - expected) <= 1e-9 * expected
-                      if max(diffs) > 0
-                      else cert.sup_ratio <= 1.0 + 1e-9)
+                ok = is_exact_ratio(cert.sup_ratio, expected)
                 results.append({
                     "from": src, "to": dst,
                     "expected": expected,

@@ -5,7 +5,7 @@ import shlex
 
 import pytest
 
-from teichlab import cli, cylinder
+from teichlab import cli, cones, cylinder
 
 
 def run(argv, capsys):
@@ -117,16 +117,26 @@ def test_excursion_command(capsys):
     assert "depth" in out and "residue" in out
 
 
-def test_cones_verify(tmp_path, capsys):
+def test_cones_verify(tmp_path, capsys, monkeypatch):
     spec = tmp_path / "L.json"
     spec.write_text(json.dumps({"rows": [[0.8, 0.1, 0.1],
                                          [0.15, 0.8, 0.05],
                                          [0.1, 0.2, 0.7]]}))
+    hulls = []
+    hull = cones.cone_over_hull
+
+    def counting(rows):
+        hulls.append(rows)
+        return hull(rows)
+
+    monkeypatch.setattr(cones, "cone_over_hull", counting)
     code, out, _ = run(["cones", "verify", "--spec", str(spec),
                         "--max-word-len", "3", "--scale", "1e-3"], capsys)
     assert code == 0
     assert "containment_rate 1 " in out
     assert "vertices_attained 1" in out
+    # the verdict's hull serves the hypothesis check too
+    assert len(hulls) == 1
 
 
 def test_cones_verify_out_dir(tmp_path, capsys):
@@ -176,6 +186,21 @@ def test_malformed_json_exit_2(tmp_path, capsys):
         ("thurston verify-noisy",
          json.dumps(dict(noisy, base_log_lengths=[-13.0, -12.5, -12.2],
                          T=[1.0])), "must be an object"),
+        # a string is not a list of numbers, knobs must be finite floats,
+        # and those read as integers whole
+        ("cones designer", '{"vertices": ["811", "181", "118"]}',
+         "needs a \"vertices\" list"),
+        ("thurston verify-noisy",
+         json.dumps(dict(noisy, base_log_lengths="123")), "must be an object"),
+        ("thurston verify-noisy",
+         json.dumps(dict(noisy, base_log_lengths=[-13.0, -12.5, -12.2],
+                         stretched_index=0.9)), "must be an object"),
+        ("thurston verify-noisy",
+         json.dumps(dict(noisy, base_log_lengths=[-13.0, -12.5, -12.2],
+                         seed=float("inf"))), "must be an object"),
+        ("thurston verify-noisy",
+         json.dumps(dict(noisy, base_log_lengths=[-13.0, -12.5, 10 ** 400])),
+         "must be an object"),
     ]
     for command, text, message in cases:
         spec = tmp_path / "input.json"
@@ -249,6 +274,29 @@ def test_thurston_symmetric_bad_shrunk_index_exit_2(capsys):
         code, out, err = run(base + flags, capsys)
         assert (code, out) == (2, "")
         assert err == "error: shrunk index out of range\n"
+
+
+def test_certificate_over_no_pair_exit_2(tmp_path, capsys):
+    # --pairs below 1 and a cube of side 0 would certify nothing
+    cfg = tmp_path / "noisy.json"
+    cfg.write_text(json.dumps({"base_log_lengths": [-13.0, -12.5, -12.2],
+                               "T": 1.0, "stretched_index": 0, "seed": 7}))
+    noisy = ["thurston", "verify-noisy", "--config", str(cfg)]
+    symmetric = ["thurston", "verify-symmetric", "--base", "-13", "-12.5",
+                 "-12.2", "--seed", "5", "--max-word-len", "2"]
+    for argv in (noisy + ["--pairs", "0"], noisy + ["--pairs", "-3"],
+                 symmetric + ["--pairs", "0"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: --pairs must be at least 1\n"
+    grid = ["thurston", "linf-grid", "--base", "-13", "-12.5", "-12.2",
+            "--max-word-len", "2"]
+    for extra, msg in ((["--T", "0"], "need a positive cube side T"),
+                       (["--k", "0"], "need a cube dimension k of at least 1"),
+                       (["--k", "-1"], "need a cube dimension k of at least 1")):
+        code, out, err = run(grid + extra, capsys)
+        assert (code, out) == (2, ""), extra
+        assert err == "error: " + msg + "\n"
 
 
 def test_thurston_linf_grid(capsys):

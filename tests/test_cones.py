@@ -570,8 +570,11 @@ def test_designer_errors():
     skew = cones.cone_over_hull([[0.9, 0.05, 0.05], [0.8, 0.1, 0.05],
                                  [0.85, 0.05, 0.1]])
     assert not skew.interior_ones
-    with pytest.raises(cones.ConesError, match="interior"):
-        cones.designer_lengths(skew, 3, 1e-3)
+    # the hypothesis comes first, whatever else is wrong
+    for total, scale in ((3, 1e-3), (2, 1e-3), (3, 5.0)):
+        with pytest.raises(cones.ConesError,
+                           match=r"\(1, \.\.\., 1\) must be interior"):
+            cones.designer_lengths(skew, total, scale)
 
 
 def test_designer_full_pipeline(dec):

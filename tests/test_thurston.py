@@ -316,7 +316,8 @@ def test_screened_certificate_on_ties_and_twists():
 
 
 def test_length_estimates_within_screen_error():
-    delta = thurston._SCREEN_REL_ERR
+    # the estimates' contract holds with room to spare: every L5 word has
+    # an estimate within 1e-15 of its exact length
     words = [c.word for c in curves.enumerate_conj_classes(2, 5)]
     pinched = build(FNCoordinates([1e-6, 5e-5, 1e-5]))
     for name, s in (("thick", build(FNCoordinates([0.7, 0.8, 0.9]))),
@@ -327,15 +328,24 @@ def test_length_estimates_within_screen_error():
         lengths = s.curve_lengths(words)
         assert None not in estimates, name
         assert not any(isinstance(v, surface.SurfaceError) for v in lengths)
-        # the computed trace part and the whole error
-        assert max(rel for _, rel in estimates) <= delta / 100, name
         worst = max(abs(e / length - 1.0)
-                    for (e, _), length in zip(estimates, lengths))
-        assert worst <= delta / 100, name
+                    for e, length in zip(estimates, lengths))
+        assert worst <= 1e-15, name
     # the float of a trace near 2 keeps almost no digit of a 1e-6 cuff
     (n, e, _), = pinched._int_traces([(1,)], surface._BITS)
     plain = 2.0 * math.acosh(math.ldexp(n, e) / 2.0)
-    assert abs(plain / pinched.curve_length("a") - 1.0) > delta / 100
+    assert abs(plain / pinched.curve_length("a") - 1.0) > 1e-15
+
+
+def test_estimate_is_none_past_its_error_bound():
+    # a trace near 2.5 known to within radius r: the length's relative
+    # error bound 2 (r / low) (t / (t + 2)) crosses _ESTIMATE_REL = 2.5e-14
+    # between r = 2^-47 and 2^-46 of the trace's unit
+    e = -100
+    n = 5 << (-e - 1)
+    assert surface._estimate(n, e, 1 << (-e - 47)) == pytest.approx(
+        2.0 * math.acosh(1.25), rel=1e-15)
+    assert surface._estimate(n, e, 1 << (-e - 46)) is None
 
 
 class FixedLengths:
@@ -368,13 +378,10 @@ def test_screen_margin_keeps_a_word_at_the_witness_band():
     # drops it and the witness changes
     band = 1.0 - 1e-12
 
-    def estimate(t):
+    def est(t):
         # the integer fold's estimate of a trace it holds to one unit
         _, man, exp, _ = t._mpf_
         return surface._estimate(int(man), exp, 1)
-
-    def est(t):
-        return estimate(t)[0]
 
     found = None
     for lx in (0.9, 1.3, 2.0, 3.1):
@@ -393,7 +400,7 @@ def test_screen_margin_keeps_a_word_at_the_witness_band():
     assert found is not None
     tx, ty_a, ty_b = found
     cert = thurston._sup_certificate(
-        [(1,), (2,)], [estimate(tx)] * 2, [estimate(ty_a), estimate(ty_b)],
+        [(1,), (2,)], [est(tx)] * 2, [est(ty_a), est(ty_b)],
         FixedLengths({(1,): exact(tx), (2,): exact(tx)}),
         FixedLengths({(1,): exact(ty_a), (2,): exact(ty_b)}))
     assert cert.sup_ratio == exact(ty_b) / exact(tx)
@@ -401,11 +408,12 @@ def test_screen_margin_keeps_a_word_at_the_witness_band():
 
 
 def test_wide_trace_part_makes_a_candidate():
-    # word 1's estimate reads below word 2's, but its trace part admits
-    # the higher exact ratio it has, so it must reach the exact path
+    # a trace part wider than the contract allows gives word 1 a None
+    # estimate on Y; its exact ratio is the higher one, so it must reach
+    # the exact path
     lx = exact(trace(1.0))
     cert = thurston._sup_certificate(
-        [(1,), (2,)], [(1.0, 0.0)] * 2, [(1.0, 1e-3), (1.005, 0.0)],
+        [(1,), (2,)], [1.0] * 2, [None, 1.005],
         FixedLengths({(1,): lx, (2,): lx}),
         FixedLengths({(1,): exact(trace(1.01)), (2,): exact(trace(1.005))}))
     assert cert.witness == (1,)
@@ -439,13 +447,17 @@ def test_trace_within_1e_40_of_2_is_a_candidate():
     # over its radius the trace may be parabolic, which only the exact
     # lengths decide, so the screen leaves it undecided
     assert surface._estimate((2 << 200) + 2, -200, 1) is None
-    assert surface._estimate((2 << 100) + 2, -100, 1) is not None
-    # at the threshold, and where the excess's bit length alone decides
-    for e in (-140, -200, -300, -450):
+    # near 2 a radius of 1 at 2^-100 or 2^-140 moves the length by more
+    # than `_ESTIMATE_REL`; a radius of 0 leaves the 1e-40 threshold alone
+    assert surface._estimate((2 << 100) + 2, -100, 0) is not None
+    # at the threshold, and where the excess's bit length alone decides;
+    # from 2^-200 on a radius of 1 stays far inside `_ESTIMATE_REL`, so the
+    # threshold is read at the radius's low end
+    for e, radius in ((-140, 0), (-200, 1), (-300, 1), (-450, 1)):
         edge = (1 << -e) // 10 ** 40
         for low in (edge - 1, edge, edge + 1, 1 << (-e - 134),
                     1 << (-e - 133), 1 << (-e - 132), 1 << (-e - 131)):
-            got = surface._estimate((2 << -e) + low + 1, e, 1)
+            got = surface._estimate((2 << -e) + low + radius, e, radius)
             assert (got is None) == (low * 10 ** 40 < 1 << -e), (e, low)
 
 
@@ -462,6 +474,28 @@ def test_trace_beyond_float_range_is_a_candidate():
     assert (cert.sup_ratio, cert.witness, cert.family_size,
             cert.skipped) == oracle_certificate(x, y, fam)
     assert cert.witness == curves.word_from_text(fam[0])
+
+
+@pytest.mark.parametrize("max_len, lengths, twists, runner_up", [
+    (3, [0.32, 0.32, 0.48], [0.9, -1.4, 0.8], "acc"),
+    (4, [0.83, 1.04, 0.38], [-0.3, 1.4, 1.1], "aDBd"),
+])
+def test_exact_flag_fails_a_sup_just_above_the_expected_ratio(
+        max_len, lengths, twists, runner_up):
+    # the runner-up class's ratio is exact, but the family's sup lies
+    # 1.7e-3 (L3) and 7.6e-5 (L4) above it, far outside the exact-ratio
+    # tolerance: the certificate is not exact
+    fam = [c.word for c in curves.enumerate_conj_classes(2, max_len)]
+    x = build(FNCoordinates([0.7, 0.8, 0.9]))
+    y = build(FNCoordinates(lengths, twists))
+    ratio = y.curve_length(runner_up) / x.curve_length(runner_up)
+    cert = ratio_sup(x, y, fam, runner_up, ratio)
+    assert 1e-6 < cert.sup_ratio / ratio - 1.0 < 1e-2
+    assert not thurston.is_exact_ratio(cert.sup_ratio, ratio)
+    assert not cert.exact_flag
+    # the witness's own ratio passes
+    top = y.curve_length(cert.witness) / x.curve_length(cert.witness)
+    assert ratio_sup(x, y, fam, cert.witness, top).exact_flag
 
 
 # --- noisy geodesic certificates ------------------------------------------------
@@ -637,3 +671,10 @@ def test_linf_grid_validation(family):
         linf_grid_check(BASE, 0.5, 1, 1, family, DEC)
     with pytest.raises(ThurstonError, match="pinching"):
         linf_grid_check([-13.0, -2.0, -12.0], 0.5, 1, 3, family, DEC)
+    # a cube of side 0 has no pair to certify
+    for side in (0.0, -0.5, math.nan):
+        with pytest.raises(ThurstonError, match="positive cube side"):
+            linf_grid_check(BASE, side, 1, 3, family, DEC)
+    for k in (0, -1):
+        with pytest.raises(ThurstonError, match="cube dimension k"):
+            linf_grid_check(BASE, 0.5, k, 3, family, DEC)

@@ -26,7 +26,9 @@ THIN_ROWS at 1e-2) with a twist T on curve 1 of its first factor only,
 for each T in THIN_TWISTS at each tolerance in THIN_TOLERANCES, over the
 classes of up to 5 letters.  Last, one line per base point, on the
 surface at its lengths and twists, gives a SHA-256 over the repr of
-`length_estimates` of the classes of up to 5 letters and one over
+the lengths that `length_estimates` gives the classes of up to 5 letters,
+each a float or None (from a tree whose estimates are (length, error)
+pairs, the length alone, so such trees compare too), and one over
 `_int_traces` of them at `surface._BITS` bits, so an estimate whose bits
 move shows even where no certificate moves.  About 5 s on a 2-core
 x86-64 machine.  Only the standard library and the package under --src
@@ -73,6 +75,11 @@ def base_points():
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def estimate_lengths(estimates):
+    """Each estimate's length, or None, from either form of estimate."""
+    return [e[0] if isinstance(e, tuple) else e for e in estimates]
 
 
 def fields(cert):
@@ -215,7 +222,7 @@ def main(argv=None):
             s = surface.build_holonomy(dec, surface.FNCoordinates(
                 [math.exp(v) for v in logs], twists))
             line = "estimates sha256 %s traces sha256 %s" % (
-                sha256(repr(s.length_estimates(words5))),
+                sha256(repr(estimate_lengths(s.length_estimates(words5)))),
                 sha256(repr(s._int_traces(words5, surface._BITS))))
         except Exception as exc:  # the message is part of the record
             line = "%s: %s" % (type(exc).__name__, exc)
