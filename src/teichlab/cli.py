@@ -130,6 +130,9 @@ def _time_pairs(seed, horizon, count):
 
 def cmd_hexagon(args, rep):
     tol = 1e-10   # on the relative pentagon residuals
+    if not args.a and args.samples < 1:
+        # a residual over no shape says nothing
+        raise UsageError("hexagon needs --a or --samples of at least 1")
     shapes = [tuple(args.a)] if args.a else []
     rng = random.Random(args.seed)
     for _ in range(args.samples):

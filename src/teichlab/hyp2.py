@@ -3,6 +3,9 @@
 Upper half-plane model throughout.  Isometries are 2x2 real matrices of
 unit determinant, identified with their negation; the canonical sign
 makes the trace nonnegative whenever it is meaningfully nonzero.
+Boundary points are floats, with math.inf the point at infinity; `tied`
+is the one rule for endpoints too close to order, and `cyclic_order` the
+one order on the boundary.
 """
 
 import math
@@ -114,51 +117,35 @@ class PlanePoint:
         return "PlanePoint(%r, %r)" % (self.x, self.y)
 
 
-class BoundaryPoint:
-    """Point of the circle at infinity: a real number or the tagged infinity."""
+def tied(x, y):
+    """Whether two boundary points are too close to order: both at
+    infinity, or within ENDPOINT_TIE_TOL of max(1, |x|, |y|) of each other.
+    """
+    if x == math.inf or y == math.inf:
+        return x == y
+    return abs(x - y) <= (constants.ENDPOINT_TIE_TOL
+                          * max(1.0, abs(x), abs(y)))
 
-    __slots__ = ("value", "is_infinity")
 
-    def __init__(self, value=None, infinity=False):
-        if infinity:
-            object.__setattr__(self, "value", None)
-            object.__setattr__(self, "is_infinity", True)
-        else:
-            object.__setattr__(self, "value", float(value))
-            object.__setattr__(self, "is_infinity", False)
+def cyclic_order(start, *points):
+    """Whether `points` follow `start` in this order, strictly, on R u {inf}.
 
-    def __setattr__(self, *a):
-        raise AttributeError("BoundaryPoint is immutable")
-
-    @classmethod
-    def inf(cls):
-        return cls(infinity=True)
-
-    def angle(self):
-        """Position on the boundary circle, via x -> 2 arctan x, inf -> pi."""
-        if self.is_infinity:
-            return math.pi
-        return 2.0 * math.atan(self.value)
-
-    def close_to(self, other):
-        if self.is_infinity or other.is_infinity:
-            return self.is_infinity and other.is_infinity
-        return abs(self.value - other.value) <= (
-            constants.ENDPOINT_TIE_TOL
-            * max(1.0, abs(self.value), abs(other.value)))
-
-    def __repr__(self):
-        return "BoundaryPoint.inf()" if self.is_infinity else (
-            "BoundaryPoint(%r)" % (self.value,))
+    The boundary is walked once from `start` in the increasing direction,
+    through infinity (math.inf) and back up from minus infinity.  A point
+    equal to `start` comes first.  The reals are compared as they are, so
+    distinct endpoints never round together.
+    """
+    keys = [(0 if x == start else 1 if x > start else 2, x) for x in points]
+    return all(k < l for k, l in zip(keys, keys[1:]))
 
 
 class GeodesicLine:
-    """Ordered pair of distinct boundary points."""
+    """Ordered pair of boundary points that do not tie."""
 
     __slots__ = ("start", "end")
 
     def __init__(self, start, end):
-        if start.close_to(end):
+        if tied(start, end):
             raise Hyp2Error("geodesic needs distinct endpoints")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
@@ -179,16 +166,16 @@ def mobius_apply(m, p):
     return PlanePoint(w.real, w.imag)
 
 
-def mobius_boundary(m, b):
+def mobius_boundary(m, x):
     """Apply an isometry to a boundary point, tracking infinity exactly."""
-    if b.is_infinity:
+    if x == math.inf:
         if m.m21 == 0.0:
-            return BoundaryPoint.inf()
-        return BoundaryPoint(m.m11 / m.m21)
-    denom = m.m21 * b.value + m.m22
+            return math.inf
+        return m.m11 / m.m21
+    denom = m.m21 * x + m.m22
     if denom == 0.0:
-        return BoundaryPoint.inf()
-    return BoundaryPoint((m.m11 * b.value + m.m12) / denom)
+        return math.inf
+    return (m.m11 * x + m.m12) / denom
 
 
 def distance(p, q):
@@ -199,34 +186,19 @@ def distance(p, q):
 
 # --- classification ---------------------------------------------------------
 
-class TranslationLength:
-    """Translation length together with the isometry class."""
-
-    __slots__ = ("length", "kind")
-
-    def __init__(self, length, kind):
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TranslationLength is immutable")
-
-    def __repr__(self):
-        return "TranslationLength(%r, %r)" % (self.length, self.kind)
-
-
 def translation_length(m):
-    """Translation length 2 arccosh(|tr|/2) and the isometry class.
+    """(length, kind): translation length 2 arccosh(|tr|/2) and the
+    isometry class.
 
     Traces inside the band (2 - 1e-10, 2 + 1e-10) are reported parabolic,
     since the classification is numerically ambiguous there.
     """
     t = abs(m.trace)
     if abs(t - 2.0) < constants.PARABOLIC_BAND:
-        return TranslationLength(0.0, "parabolic")
+        return 0.0, "parabolic"
     if t > 2.0:
-        return TranslationLength(2.0 * math.acosh(t / 2.0), "hyperbolic")
-    return TranslationLength(0.0, "elliptic")
+        return 2.0 * math.acosh(t / 2.0), "hyperbolic"
+    return 0.0, "elliptic"
 
 
 def fixed_points(a, b, c, d, sqrt):
@@ -259,9 +231,9 @@ def fixed_points(a, b, c, d, sqrt):
 
 def axis_endpoints(m):
     """Axis of a hyperbolic isometry, attracting endpoint second."""
-    if translation_length(m).kind != "hyperbolic":
+    if translation_length(m)[1] != "hyperbolic":
         raise Hyp2Error("no axis: isometry is not hyperbolic")
-    rep, att = (BoundaryPoint.inf() if v is None else BoundaryPoint(v)
+    rep, att = (math.inf if v is None else v
                 for v in fixed_points(m.m11, m.m12, m.m21, m.m22, math.sqrt))
     return GeodesicLine(rep, att)
 
@@ -269,26 +241,16 @@ def axis_endpoints(m):
 def geodesics_link(g1, g2):
     """Whether two boundary-endpoint pairs separate each other on the circle.
 
-    Equivalent to the geodesics crossing.  A shared endpoint makes linking
-    undefined and raises.
+    Equivalent to the geodesics crossing: exactly one endpoint of g2 lies
+    on the arc from g1's start to its end.  A shared endpoint (`tied`)
+    makes linking undefined and raises.
     """
-    for e1 in (g1.start, g1.end):
-        for e2 in (g2.start, g2.end):
-            if e1.close_to(e2):
+    s1, e1 = g1.start, g1.end
+    for x in (s1, e1):
+        for y in (g2.start, g2.end):
+            if tied(x, y):
                 raise Hyp2Error("degenerate linking: shared endpoint")
-    a, b = g1.start.angle(), g1.end.angle()
-    inside = 0
-    for e in (g2.start, g2.end):
-        if _ccw_between(a, b, e.angle()):
-            inside += 1
-    return inside == 1
-
-
-def _ccw_between(a, b, c):
-    """Whether angle c lies strictly inside the ccw arc from a to b."""
-    span = (b - a) % (2.0 * math.pi)
-    rel = (c - a) % (2.0 * math.pi)
-    return 0.0 < rel < span
+    return cyclic_order(s1, g2.start, e1) != cyclic_order(s1, g2.end, e1)
 
 
 # --- constructors and line charts (test oracles) ----------------------------
@@ -307,17 +269,17 @@ def rotation_at_i(theta):
 
 def map_zero_inf_to(p, q):
     """Isometry sending the oriented line (0, inf) to the oriented line (p, q)."""
-    if p.is_infinity and q.is_infinity:
+    if p == math.inf and q == math.inf:
         raise Hyp2Error("endpoints must be distinct")
-    if p.is_infinity:
+    if p == math.inf:
         # 0 -> inf, inf -> q: z -> q + (-1)/z needs det > 0: z -> q - 1/z
-        return IsometryMatrix(q.value, -1.0, 1.0, 0.0)
-    if q.is_infinity:
+        return IsometryMatrix(q, -1.0, 1.0, 0.0)
+    if q == math.inf:
         # 0 -> p, inf -> inf: z -> z + p
-        return IsometryMatrix(1.0, p.value, 0.0, 1.0)
-    if q.value > p.value:
-        return IsometryMatrix(q.value, p.value, 1.0, 1.0)
-    return IsometryMatrix(q.value, -p.value, 1.0, -1.0)
+        return IsometryMatrix(1.0, p, 0.0, 1.0)
+    if q > p:
+        return IsometryMatrix(q, p, 1.0, 1.0)
+    return IsometryMatrix(q, -p, 1.0, -1.0)
 
 
 def distance_to_line(line, p):

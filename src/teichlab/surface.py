@@ -53,7 +53,7 @@ import mpmath
 from mpmath import libmp
 
 from . import curves, pants
-from .hyp2 import BoundaryPoint, GeodesicLine, IsometryMatrix
+from .hyp2 import GeodesicLine, IsometryMatrix
 
 _DPS = 80
 _mp = mpmath.MPContext()
@@ -211,11 +211,9 @@ def _to_float_matrix(m):
 
 
 def _frame_endpoint(f, at_zero):
-    """Boundary image of 0 or infinity under a frame, as a BoundaryPoint."""
+    """Boundary image of 0 or infinity under a frame, math.inf for infinity."""
     num, den = (f[1], f[3]) if at_zero else (f[0], f[2])
-    if den == 0:
-        return BoundaryPoint.inf()
-    return BoundaryPoint(float(num / den))
+    return math.inf if den == 0 else float(num / den)
 
 
 # --- single-pants geometry -----------------------------------------------------

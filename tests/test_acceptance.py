@@ -137,19 +137,16 @@ def test_criterion_04_damping():
 def _chord_line(p, q):
     from teichlab import hyp2
     if abs(p.x - q.x) < 1e-300:
-        return hyp2.GeodesicLine(hyp2.BoundaryPoint(p.x),
-                                 hyp2.BoundaryPoint.inf())
+        return hyp2.GeodesicLine(p.x, math.inf)
     c = ((p.x ** 2 + p.y ** 2) - (q.x ** 2 + q.y ** 2)) \
         / (2.0 * (p.x - q.x))
     rho = math.hypot(p.x - c, p.y)
-    return hyp2.GeodesicLine(hyp2.BoundaryPoint(c - rho),
-                             hyp2.BoundaryPoint(c + rho))
+    return hyp2.GeodesicLine(c - rho, c + rho)
 
 
 def _chord_depth(a, t):
     from teichlab import hyp2
-    core = hyp2.GeodesicLine(hyp2.BoundaryPoint(0.0),
-                             hyp2.BoundaryPoint.inf())
+    core = hyp2.GeodesicLine(0.0, math.inf)
     big_r = math.acosh(1.0 / a)
     line = _chord_line(cylinder.lift_point(0.0, big_r),
                        cylinder.lift_point(t * a, big_r))

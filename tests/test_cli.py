@@ -27,6 +27,18 @@ def test_hexagon_random_shapes(capsys):
     assert "shapes 50" in out
 
 
+def test_hexagon_over_no_shape_exit_2(capsys):
+    # a residual over no shape would certify nothing
+    for argv in (["hexagon"], ["hexagon", "--samples", "0"],
+                 ["hexagon", "--samples", "-3", "--seed", "1"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: hexagon needs --a or --samples of at least 1\n"
+    code, out, _ = run(["hexagon", "--a", "0.1", "0.2", "0.3", "--samples",
+                        "-3"], capsys)
+    assert code == 0 and out.startswith("shapes 1 ")
+
+
 def test_hexagon_long_side_judged_relative(capsys):
     # cosh 70 is about 1.3e30: the identities hold to ~1e-15 of it, which
     # is far above 1e-10 in absolute terms

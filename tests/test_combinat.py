@@ -184,9 +184,7 @@ def mobius_boundary_lift(mat, spec):
     """Frame endpoints (rep, att) of a lift through hyp2.mobius_boundary."""
     ends = []
     for x in spec[2:]:
-        img = hyp2.mobius_boundary(mat, hyp2.BoundaryPoint.inf() if x is None
-                                   else hyp2.BoundaryPoint(x))
-        ends.append(math.inf if img.is_infinity else img.value)
+        ends.append(hyp2.mobius_boundary(mat, math.inf if x is None else x))
     rep, att = ends
     if not (math.isfinite(rep) and math.isfinite(att)):
         return None
@@ -779,30 +777,6 @@ def test_linking_shifts_match_direct_tests(thick):
             assert window == [j for j in range(-8, 9) if links(j)]
 
 
-def angle_order(start, *points):
-    """The cyclic order through boundary angles x -> 2 atan x, inf -> pi."""
-    def angle(x):
-        return math.pi if x == math.inf else 2.0 * math.atan(x)
-    rel = [(angle(x) - angle(start)) % (2.0 * math.pi) for x in points]
-    return all(r < s for r, s in zip(rel, rel[1:]))
-
-
-def test_cyclic_order_matches_angle_formula():
-    rng = random.Random(17)
-    pool = [math.inf, 0.0, 1.0, -1.0, 0.5, -3.0]
-    found = set()
-    for _ in range(4000):
-        pts = [rng.choice(pool) if rng.random() < 0.3
-               else rng.uniform(-40.0, 40.0) for _ in range(rng.choice((3, 4)))]
-        want = angle_order(*pts)
-        assert combinat._cyclic_order(*pts) == want, pts
-        found.add((len(pts), want))
-    assert found == {(3, True), (3, False), (4, True), (4, False)}
-    # far out the angles round together, the reals do not
-    assert combinat._cyclic_order(1e17, 2e17, math.inf, -2e17)
-    assert not angle_order(1e17, 2e17, math.inf, -2e17)
-
-
 def test_primitive_root_multiplicity(thick):
     seq = intersection_sequence(thick, "cdcd", search_depth=8)
     base = intersection_sequence(thick, "cd", search_depth=8)
@@ -825,10 +799,10 @@ def test_mp_fixed_points_match_float_axes(reference):
             got = hyp2.fixed_points(*reference._mp_holonomy(w), mpmath.sqrt)
             axis = hyp2.axis_endpoints(reference.holonomy(w))
             for mp_end, end in zip(got, (axis.start, axis.end)):
-                if end.is_infinity:
+                if end == math.inf:
                     assert mp_end is None
                 else:
-                    assert float(mp_end) == pytest.approx(end.value,
+                    assert float(mp_end) == pytest.approx(end,
                                                           rel=1e-10,
                                                           abs=1e-300)
 

@@ -12,16 +12,16 @@ from teichlab.cylinder import (
     ratio_residue_check, sampled_lipschitz, spiral_residue,
 )
 
-CORE_LINE = hyp2.GeodesicLine(hyp2.BoundaryPoint(0.0), hyp2.BoundaryPoint.inf())
+CORE_LINE = hyp2.GeodesicLine(0.0, math.inf)
 
 
 def chord_line(p, q):
     """Geodesic through two interior points, as a boundary-endpoint pair."""
     if abs(p.x - q.x) < 1e-300:
-        return hyp2.GeodesicLine(hyp2.BoundaryPoint(p.x), hyp2.BoundaryPoint.inf())
+        return hyp2.GeodesicLine(p.x, math.inf)
     c = ((p.x ** 2 + p.y ** 2) - (q.x ** 2 + q.y ** 2)) / (2.0 * (p.x - q.x))
     rho = math.hypot(p.x - c, p.y)
-    return hyp2.GeodesicLine(hyp2.BoundaryPoint(c - rho), hyp2.BoundaryPoint(c + rho))
+    return hyp2.GeodesicLine(c - rho, c + rho)
 
 
 def min_distance_to_core(line, lo, hi):

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from teichlab import hyp2
 from teichlab.hyp2 import (
-    BoundaryPoint, GeodesicLine, Hyp2Error, IsometryMatrix, PlanePoint,
-    axis_endpoints, distance, geodesics_link, mobius_apply, mobius_boundary,
-    translation_length,
+    GeodesicLine, Hyp2Error, IsometryMatrix, PlanePoint, axis_endpoints,
+    cyclic_order, distance, geodesics_link, mobius_apply, mobius_boundary,
+    tied, translation_length,
 )
 
 
@@ -26,9 +26,9 @@ def random_point(rng):
 
 def close(p, q, tol):
     """Boundary points within tol, relative to the larger magnitude."""
-    if p.is_infinity or q.is_infinity:
-        return p.is_infinity and q.is_infinity
-    return abs(p.value - q.value) <= tol * max(1.0, abs(p.value), abs(q.value))
+    if p == math.inf or q == math.inf:
+        return p == q
+    return abs(p - q) <= tol * max(1.0, abs(p), abs(q))
 
 
 def test_identity_fixes_i():
@@ -104,16 +104,14 @@ def test_distance_triangle_inequality():
 
 
 def test_translation_length_identity():
-    tl = translation_length(IsometryMatrix.identity())
-    assert tl.length == 0.0
-    assert tl.kind == "parabolic"
+    assert translation_length(IsometryMatrix.identity()) == (0.0, "parabolic")
 
 
 def test_translation_length_diagonal():
     m = IsometryMatrix(math.e, 0, 0, 1 / math.e)
-    tl = translation_length(m)
-    assert tl.kind == "hyperbolic"
-    assert abs(tl.length - 2.0) < 1e-12
+    length, kind = translation_length(m)
+    assert kind == "hyperbolic"
+    assert abs(length - 2.0) < 1e-12
 
 
 def test_translation_length_core_holonomy_form():
@@ -122,9 +120,9 @@ def test_translation_length_core_holonomy_form():
     e = math.acosh(1.0 / a)  # collar height for delta_star = 1
     m = IsometryMatrix(math.cosh(a / 2), -math.exp(e) * math.sinh(a / 2),
                        -math.exp(-e) * math.sinh(a / 2), math.cosh(a / 2))
-    tl = translation_length(m)
-    assert tl.kind == "hyperbolic"
-    assert abs(tl.length - a) < 1e-12
+    length, kind = translation_length(m)
+    assert kind == "hyperbolic"
+    assert abs(length - a) < 1e-12
 
 
 def test_translation_length_power_law():
@@ -133,16 +131,16 @@ def test_translation_length_power_law():
         m = hyp2.translation_along_imaginary_axis(rng.uniform(0.1, 2.0))
         g = random_isometry(rng)
         m = g @ m @ g.inverse()
-        base = translation_length(m).length
+        base = translation_length(m)[0]
         for n in range(2, 9):
-            ln = translation_length(m ** n).length
+            ln = translation_length(m ** n)[0]
             assert abs(ln - n * base) <= 1e-10 * n * base
 
 
 def test_axis_endpoints_diagonal():
     m = IsometryMatrix(math.e, 0, 0, 1 / math.e)
     line = axis_endpoints(m)
-    assert line.start.value == 0.0 and line.end.is_infinity
+    assert line.start == 0.0 and line.end == math.inf
 
 
 def test_axis_endpoints_equivariance():
@@ -151,8 +149,8 @@ def test_axis_endpoints_equivariance():
         g = random_isometry(rng)
         m = g @ IsometryMatrix(math.e, 0, 0, 1 / math.e) @ g.inverse()
         line = axis_endpoints(m)
-        exp_rep = mobius_boundary(g, BoundaryPoint(0.0))
-        exp_att = mobius_boundary(g, BoundaryPoint.inf())
+        exp_rep = mobius_boundary(g, 0.0)
+        exp_att = mobius_boundary(g, math.inf)
         assert close(line.start, exp_rep, 1e-8)
         assert close(line.end, exp_att, 1e-8)
 
@@ -165,20 +163,20 @@ def test_axis_endpoints_fixed_and_attracting():
         line = axis_endpoints(m)
         for e in (line.start, line.end):
             img = mobius_boundary(m, e)
-            assert close(img, e, 1e-10) or (e.is_infinity and img.is_infinity)
+            assert close(img, e, 1e-10)
         # iteration converges to the attracting endpoint
         p = PlanePoint(0.123, 1.0)
         for _ in range(60):
             p = mobius_apply(m, p)
-        if not line.end.is_infinity:
-            assert abs(p.x - line.end.value) < 1e-5 * max(1, abs(line.end.value))
+        if line.end != math.inf:
+            assert abs(p.x - line.end) < 1e-5 * max(1, abs(line.end))
 
 
 def test_axis_endpoints_upper_triangular_fixed():
     # c = 0: the finite fixed point of z -> (a z + b) / d is b / (d - a)
     line = axis_endpoints(IsometryMatrix(math.e, 1, 0, 1 / math.e))
-    assert line.end.is_infinity
-    assert abs(line.start.value + 1 / (math.e - 1 / math.e)) < 1e-15
+    assert line.end == math.inf
+    assert abs(line.start + 1 / (math.e - 1 / math.e)) < 1e-15
     rng = random.Random(29)
     for _ in range(100):
         a = math.exp(rng.uniform(-2, 2)) * rng.choice((1, -1))
@@ -188,8 +186,7 @@ def test_axis_endpoints_upper_triangular_fixed():
         line = axis_endpoints(m)
         for e in (line.start, line.end):
             img = mobius_boundary(m, e)
-            assert close(img, e, 1e-12) or (
-                e.is_infinity and img.is_infinity)
+            assert close(img, e, 1e-12)
 
 
 def test_axis_endpoints_rejects_non_hyperbolic():
@@ -198,11 +195,11 @@ def test_axis_endpoints_rejects_non_hyperbolic():
 
 
 def geodesic(a, b):
-    return GeodesicLine(BoundaryPoint(a), BoundaryPoint(b))
+    return GeodesicLine(float(a), float(b))
 
 
 def test_linking_basic():
-    g1 = GeodesicLine(BoundaryPoint(0.0), BoundaryPoint.inf())
+    g1 = geodesic(0.0, math.inf)
     assert geodesics_link(g1, geodesic(-1, 1))
     assert not geodesics_link(geodesic(0, 1), geodesic(2, 3))
     assert geodesics_link(geodesic(0, 2), geodesic(1, 3))
@@ -232,10 +229,52 @@ def test_linking_cross_ratio_oracle():
 
 
 def test_linking_with_infinity():
-    g1 = GeodesicLine(BoundaryPoint(1.0), BoundaryPoint.inf())
+    g1 = geodesic(1.0, math.inf)
     assert geodesics_link(g1, geodesic(0, 2))
     assert not geodesics_link(g1, geodesic(2, 3))
     assert not geodesics_link(g1, geodesic(-3, 0))
+
+
+def test_far_chords_link_by_their_reals():
+    # far out the angles 2 atan x of 1e17, 2e17 and 3e17 round together;
+    # the cyclic order compares the reals, so these chords link
+    g1, g2 = geodesic(1e17, 3e17), geodesic(2e17, -1)
+    assert geodesics_link(g1, g2)
+    assert geodesics_link(g2, g1)
+
+
+def test_tie_rule_is_relative_and_exact_at_infinity():
+    # math.inf is the point at infinity, so a float that overflowed to it
+    # ties only with infinity, however far out the other point lies
+    assert tied(1e12, 1e12 + 0.5)
+    assert tied(math.inf, math.inf)
+    assert not tied(1.0, 1.0 + 2e-12)
+    assert not tied(math.inf, 1e300)
+    assert not tied(1e300, math.inf)
+
+
+def angle_order(start, *points):
+    """The cyclic order through boundary angles x -> 2 atan x, inf -> pi."""
+    def angle(x):
+        return math.pi if x == math.inf else 2.0 * math.atan(x)
+    rel = [(angle(x) - angle(start)) % (2.0 * math.pi) for x in points]
+    return all(r < s for r, s in zip(rel, rel[1:]))
+
+
+def test_cyclic_order_matches_angle_formula():
+    rng = random.Random(17)
+    pool = [math.inf, 0.0, 1.0, -1.0, 0.5, -3.0]
+    found = set()
+    for _ in range(4000):
+        pts = [rng.choice(pool) if rng.random() < 0.3
+               else rng.uniform(-40.0, 40.0) for _ in range(rng.choice((3, 4)))]
+        want = angle_order(*pts)
+        assert cyclic_order(*pts) == want, pts
+        found.add((len(pts), want))
+    assert found == {(3, True), (3, False), (4, True), (4, False)}
+    # far out the angles round together, the reals do not
+    assert cyclic_order(1e17, 2e17, math.inf, -2e17)
+    assert not angle_order(1e17, 2e17, math.inf, -2e17)
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,15 +291,14 @@ def test_translation_along_arbitrary_line():
     line = geodesic(-2.0, 3.0)
     g = hyp2.map_zero_inf_to(line.start, line.end)
     m = g @ hyp2.translation_along_imaginary_axis(0.7) @ g.inverse()
-    tl = translation_length(m)
-    assert abs(tl.length - 0.7) < 1e-12
+    assert abs(translation_length(m)[0] - 0.7) < 1e-12
     ax = axis_endpoints(m)
     assert close(ax.start, line.start, 1e-9)
     assert close(ax.end, line.end, 1e-9)
 
 
 def test_foot_parameter_and_point_on_line():
-    line = GeodesicLine(BoundaryPoint(0.0), BoundaryPoint.inf())
+    line = geodesic(0.0, math.inf)
     p = hyp2.point_on_line(line, 0.9)
     # on the imaginary axis the foot parameter of p is log |p|
     assert abs(p.x) < 1e-12 and abs(p.y - math.exp(0.9)) < 1e-12

@@ -250,7 +250,7 @@ def test_relator_word_maps_to_identity():
 def test_generators_hyperbolic():
     s = builtin_surface([0.6, 0.8, 1.1], [0.2, 0.1, -0.3])
     for letter in curves.GENUS2_GENERATORS:
-        assert hyp2.translation_length(s.holonomy(letter)).kind == "hyperbolic"
+        assert hyp2.translation_length(s.holonomy(letter))[1] == "hyperbolic"
 
 
 def test_lengths_and_holonomy_accept_a_class():

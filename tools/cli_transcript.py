@@ -4,14 +4,18 @@ The command set is every example in the README's CLI block plus
 `rotation` and `nonrot` for the classes c, cd, aB and aaac on a thick
 (0.7 0.8 0.9) and a pinched (1e-4 2e-5 5e-5) surface, `cones designer` on
 a 2-factor and a 4-factor cone, whose printed length rows follow the
-hull's vertex order, and two `lengths` commands for powers of a pants
-curve whose exact lengths lie just off a midpoint between two doubles;
-repeated commands run once.  Each command runs in its own interpreter
-from a temporary directory that holds the `noisy.json`, `L.json` and
-`cone.json` the README examples read and the `cone2.json` and
-`cone4.json` of the designer commands.  For each one the transcript
-records the command, its stdout, the last line of its stderr and its
-exit code, so two trees can be compared with `diff`:
+hull's vertex order, two `lengths` commands for powers of a pants
+curve whose exact lengths lie just off a midpoint between two doubles,
+and four commands on pinched surfaces whose outputs the boundary order
+and its tie rule decide: a `surface` build whose pants axes have
+coinciding endpoints, a `rotation` stopped by the thin-cuff gate, one
+stopped by a tie in the seam-power census and one whose lift endpoints
+lie far out on the boundary; repeated commands run once.  Each command
+runs in its own interpreter from a temporary directory that holds the
+`noisy.json`, `L.json` and `cone.json` the README examples read and the
+`cone2.json` and `cone4.json` of the designer commands.  For each one the
+transcript records the command, its stdout, the last line of its stderr
+and its exit code, so two trees can be compared with `diff`:
 
     python3 tools/cli_transcript.py --src /path/to/old/src -o old.txt
     python3 tools/cli_transcript.py -o new.txt
@@ -58,6 +62,18 @@ MIDPOINT_COMMANDS = (
      "2", "-3", "--words", "bbbbb"],
 )
 
+# error paths and far endpoints that the boundary order and its tie rule
+# decide: equal float endpoints of a pants axis, the thin-cuff gate, a
+# census tie, and a rotation map read from far-out endpoints (1 1 1)
+BOUNDARY_COMMANDS = (
+    ["surface", "--lengths", "1e-6", "2e-6", "3e-6"],
+    ["rotation", "--lengths", "1e-5", "1e-5", "1e-5", "--word", "cd"],
+    ["rotation", "--lengths", "3.57e-05", "6.05e-05", "2.65e-05", "--word",
+     "cccd"],
+    ["rotation", "--lengths", "0.00146", "5.47e-05", "0.001", "--word",
+     "bCD"],
+)
+
 RUN_MAIN = "import sys; from teichlab.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -75,6 +91,7 @@ def command_set():
                 commands.append([sub, "--lengths", *lengths, "--word", word])
     commands.extend(DESIGNER_COMMANDS)
     commands.extend(MIDPOINT_COMMANDS)
+    commands.extend(BOUNDARY_COMMANDS)
     unique = []
     for argv in commands:
         if argv not in unique:
